@@ -69,7 +69,7 @@ class SectorRegion:
 
 def loop_area(region: SectorRegion) -> float:
     """(1/2) integral of f^2 over the sector."""
-    f = region.boundary.eval
+    f = region.boundary.eval_many
     return 0.5 * integrate(lambda th: f(th) ** 2, *region.interval, _AREA_TOL)
 
 
@@ -96,21 +96,20 @@ def region_intersection_area(a: SectorRegion, b: SectorRegion) -> float:
     if key(b) < key(a):
         a, b = b, a
 
-    fa = a.boundary.eval
-    fb = b.boundary.eval
+    fa = a.boundary.eval_many
+    fb = b.boundary.eval_many
     total = 0.0
     for lo, hi, shift in _overlap_windows(a.interval, b.interval):
         def diff(th, _s=shift):
-            return a.boundary.eval_many(th) - b.boundary.eval_many(th - _s)
+            return fa(th) - fb(th - _s)
+
+        def integrand(th, _s=shift):
+            return np.minimum(fa(th), fb(th - _s)) ** 2
 
         cuts = [lo] + [t for t in find_roots(diff, lo, hi) if lo + 1e-12 < t < hi - 1e-12] + [hi]
         for p, q in zip(cuts[:-1], cuts[1:]):
             if q - p < 1e-12:
                 continue
-
-            def integrand(th, _s=shift):
-                return min(fa(th), fb(th - _s)) ** 2
-
             total += 0.5 * integrate(integrand, p, q, _AREA_TOL)
     return total
 

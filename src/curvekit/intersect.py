@@ -116,15 +116,20 @@ def intersections(c1: PolarCurve, c2: PolarCurve) -> IntersectionResult:
                 residual = abs(c2.eval(theta2) * cmath.exp(1j * theta2) - point)
                 candidates.append(IntersectionPoint(point, float(theta), float(theta2), residual))
 
+    # Points are ordered by angle and radius; each group of near-duplicates
+    # is represented by its member with the smallest witness angles, so the
+    # witnesses do not follow rounding noise in the point coordinates.
     candidates.sort(key=lambda p: (round(cmath.phase(p.point) % (2 * math.pi), 9), abs(p.point)))
+    anchors: list[complex] = []
     unique: list[IntersectionPoint] = []
     for cand in candidates:
-        clash = False
-        for kept in unique:
-            if abs(cand.point - kept.point) < DEDUPE_TOL:
-                clash = True
+        for j, anchor in enumerate(anchors):
+            if abs(cand.point - anchor) < DEDUPE_TOL:
+                if (cand.theta1, cand.theta2) < (unique[j].theta1, unique[j].theta2):
+                    unique[j] = cand
                 break
-        if not clash:
+        else:
+            anchors.append(cand.point)
             unique.append(cand)
 
     theta_f = origin_on_curve(c1)

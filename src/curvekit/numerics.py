@@ -1,9 +1,9 @@
-"""Root finding on a bracketing grid and adaptive Simpson quadrature.
+"""Root finding on a bracketing grid and adaptive Gauss-Kronrod quadrature.
 
 These are the shared scalar-equation and integral engines for the polar,
-intersection, area and roulette computations.  ``find_roots`` expects its
-function to accept numpy arrays (every curve evaluator in this package does);
-``integrate`` works with plain scalar callables.
+intersection, area and roulette computations.  Both take functions that map
+numpy arrays to arrays (every curve evaluator in this package does) and call
+them once per refinement round with every open bracket's or panel's points.
 """
 
 from __future__ import annotations
@@ -47,46 +47,81 @@ def _eval_grid(f, xs):
     ys = f(xs)
     ys = np.asarray(ys, dtype=float)
     if ys.shape != xs.shape:
-        raise ValueError("root-finding function must map arrays to arrays")
+        raise ValueError("function must map arrays to arrays")
     return ys
 
 
-def _bisect_many(f, lo, hi, tol, max_iter=200):
-    """Vectorized bisection on brackets lo/hi with f(lo), f(hi) of opposite sign."""
-    lo = lo.copy()
-    hi = hi.copy()
-    flo = _eval_grid(f, lo)
-    for _ in range(max_iter):
-        if np.all(hi - lo < tol):
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = _eval_grid(f, mid)
-        left = (flo <= 0) == (fmid <= 0)
-        lo = np.where(left, mid, lo)
-        flo = np.where(left, fmid, flo)
-        hi = np.where(left, hi, mid)
-    return 0.5 * (lo + hi)
+def _chandrupatla(f, lo, hi, flo, fhi, tol, max_iter=200):
+    """Vectorized Chandrupatla (1997) refinement of sign-change brackets.
+
+    Every round evaluates each open bracket once: at the inverse quadratic
+    interpolation point when the last three samples make it safe, at the
+    midpoint otherwise, and always at least tol/2 inside the bracket.  A
+    bracket closes once it is narrower than tol (or an exact zero is hit);
+    its root is the bracket end with the smaller |f|.
+    """
+    roots = np.empty(lo.shape)
+    open_ = np.arange(lo.size)
+    x1, f1 = lo, flo      # newest sample
+    x2, f2 = hi, fhi      # other end of the bracket
+    t = np.full(lo.shape, 0.5)
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            if not open_.size:
+                break
+            x = x1 + t * (x2 - x1)
+            fx = _eval_grid(f, x)
+            same = (fx <= 0) == (f1 <= 0)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = x, fx
+            nearer = np.abs(f1) < np.abs(f2)
+            best = np.where(nearer, x1, x2)
+            width = np.abs(x2 - x1)
+            done = (width < tol) | (np.minimum(np.abs(f1), np.abs(f2)) == 0.0)
+            roots[open_] = best
+            keep = ~done
+            open_ = open_[keep]
+            x1, f1, x2, f2, x3, f3, width = (
+                v[keep] for v in (x1, f1, x2, f2, x3, f3, width)
+            )
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = np.where(
+                iqi,
+                f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
+                0.5,
+            )
+            edge = 0.5 * tol / width
+            t = np.clip(t, edge, 1.0 - edge)
+    return roots
 
 
-def _refine_abs_min(f, lo, hi, tol, max_iter=200):
-    """Golden-section search for the minimum of |f| on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = abs(float(_eval_grid(f, np.array([c]))[0]))
-    fd = abs(float(_eval_grid(f, np.array([d]))[0]))
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_abs_min(f, lo, hi, tol, max_iter=200):
+    """Golden-section search for the minimum of |f| on every [lo, hi] at once."""
+    if not lo.size:
+        return lo
+    a, b = lo.copy(), hi.copy()
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = np.split(np.abs(_eval_grid(f, np.concatenate([c, d]))), 2)
     for _ in range(max_iter):
-        if b - a < tol:
+        i = np.nonzero(b - a >= tol)[0]
+        if not i.size:
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = abs(float(_eval_grid(f, np.array([c]))[0]))
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = abs(float(_eval_grid(f, np.array([d]))[0]))
+        shrink_right = fc[i] < fd[i]
+        l, r = i[shrink_right], i[~shrink_right]
+        b[l], d[l], fd[l] = d[l], c[l], fc[l]
+        c[l] = b[l] - _INV_PHI * (b[l] - a[l])
+        a[r], c[r], fc[r] = c[r], d[r], fd[r]
+        d[r] = a[r] + _INV_PHI * (b[r] - a[r])
+        fx = np.abs(_eval_grid(f, np.concatenate([c[l], d[r]])))
+        fc[l], fd[r] = fx[:l.size], fx[l.size:]
     return 0.5 * (a + b)
 
 
@@ -100,12 +135,12 @@ def find_roots(
 ) -> RootList:
     """All roots of f on [a, b] (or [a, b) when right_open).
 
-    Sign changes on the sampling grid are refined by bisection; zeros the
-    function only touches (no sign change) are recovered from local minima
-    of |f| and kept when the refined |f| drops below the tangential gate.
-    Grid nodes where |f| explodes or is non-finite are treated as interval
-    breaks (poles), never as crossings, and pole-side "roots" are rejected
-    by the residual gate.
+    Sign changes on the sampling grid are refined by Chandrupatla's method;
+    zeros the function only touches (no sign change) are recovered from
+    local minima of |f| and kept when the refined |f| drops below the
+    tangential gate.  Grid nodes where |f| explodes or is non-finite are
+    treated as interval breaks (poles), never as crossings, and pole-side
+    "roots" are rejected by the residual gate.
     """
     a = float(a)
     b = float(b)
@@ -121,43 +156,32 @@ def find_roots(
     if not (np.isfinite(ys[0]) and np.isfinite(ys[-1])):
         raise ValueError("non-finite endpoint values")
     ok = np.isfinite(ys) & (np.abs(ys) < POLE_MAGNITUDE)
-
-    candidates: list[float] = []
-
-    exact = ok & (ys == 0.0)
-    candidates.extend(xs[exact].tolist())
-
-    sign_change = ok[:-1] & ok[1:] & (np.sign(ys[:-1]) * np.sign(ys[1:]) < 0)
-    idx = np.nonzero(sign_change)[0]
-    if idx.size:
-        roots = _bisect_many(f, xs[idx], xs[idx + 1], tol)
-        res = np.abs(_eval_grid(f, roots))
-        candidates.extend(roots[res < RESIDUAL_GATE].tolist())
-
+    sign = np.sign(ys)
+    crossing = ok[:-1] & ok[1:] & (sign[:-1] * sign[1:] < 0)
+    # touching zeros: local minima of |f| under the prefilter whose
+    # neighbours are valid and not across a sign change
     ay = np.abs(ys)
-    for i in range(len(xs)):
-        if not ok[i] or ay[i] == 0.0 or ay[i] >= TANGENTIAL_PREFILTER:
-            continue
-        left_larger = i == 0 or (ok[i - 1] and ay[i - 1] >= ay[i])
-        right_larger = i == len(xs) - 1 or (ok[i + 1] and ay[i + 1] >= ay[i])
-        if not (left_larger and right_larger):
-            continue
-        if i > 0 and ok[i - 1] and np.sign(ys[i - 1]) * np.sign(ys[i]) < 0:
-            continue  # belongs to a sign change, already handled
-        if i < len(xs) - 1 and ok[i + 1] and np.sign(ys[i]) * np.sign(ys[i + 1]) < 0:
-            continue
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, len(xs) - 1)]
-        m = _refine_abs_min(f, lo, hi, tol)
-        if abs(float(_eval_grid(f, np.array([m]))[0])) < TANGENTIAL_GATE:
-            candidates.append(float(m))
+    left = np.r_[True, ok[:-1] & (ay[:-1] >= ay[1:]) & ~crossing]
+    right = np.r_[ok[1:] & (ay[1:] >= ay[:-1]) & ~crossing, True]
+    touch = np.nonzero(ok & (ay > 0.0) & (ay < TANGENTIAL_PREFILTER) & left & right)[0]
+    idx = np.nonzero(crossing)[0]
 
-    candidates.sort()
+    refined = np.concatenate([
+        _chandrupatla(f, xs[idx], xs[idx + 1], ys[idx], ys[idx + 1], tol),
+        _golden_abs_min(f, xs[np.maximum(touch - 1, 0)], xs[np.minimum(touch + 1, grid_n)], tol),
+    ])
+    residual = np.abs(_eval_grid(f, refined)) if refined.size else refined
+    gate = np.where(np.arange(refined.size) < idx.size, RESIDUAL_GATE, TANGENTIAL_GATE)
+    passed = residual < gate
+
+    exact = xs[ok & (ys == 0.0)]
+    candidates = np.concatenate([exact, refined[passed]])
+    values = np.concatenate([np.zeros(exact.size), residual[passed]])
+    order = np.argsort(candidates, kind="stable")
     gap = DEDUPE_FACTOR * tol
     roots: list[float] = []
     residuals: list[float] = []
-    for root in candidates:
-        value = abs(float(_eval_grid(f, np.array([root]))[0]))
+    for root, value in zip(candidates[order].tolist(), values[order].tolist()):
         if right_open and abs(root - b) <= gap:
             continue
         if roots and root - roots[-1] < gap:
@@ -170,34 +194,46 @@ def find_roots(
     return RootList(tuple(roots), tuple(residuals))
 
 
-_DEPTH_CAP = 40
-_FORCED_SPLITS = 2  # guards against all initial nodes landing on zeros
+# Gauss-Kronrod 7-15 rule on [-1, 1] (QUADPACK qk15, Piessens et al. 1983),
+# listed from the outermost node in to the centre.  The Gauss weights are
+# zero at the eight Kronrod-only nodes.
+_GK_HALF = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_K15_HALF = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_G7_HALF = np.zeros(8)
+_G7_HALF[1::2] = [0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+                  0.381830050505118944950369775488975, 0.417959183673469387755102040816327]
+_GK_NODES = np.concatenate([-_GK_HALF[:-1], _GK_HALF[::-1]])
+_K15_WEIGHTS = np.concatenate([_K15_HALF[:-1], _K15_HALF[::-1]])
+_G7_WEIGHTS = np.concatenate([_G7_HALF[:-1], _G7_HALF[::-1]])
+G7_NODES = _GK_NODES[_G7_WEIGHTS > 0.0]
+G7_WEIGHTS = _G7_WEIGHTS[_G7_WEIGHTS > 0.0]
 
-
-def _adaptive_simpson(f, a, fa, b, fb, m, fm, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    if not (math.isfinite(flm) and math.isfinite(frm)):
-        raise ValueError("non-finite sample encountered")
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    converged = abs(delta) <= 15.0 * tol and depth <= _DEPTH_CAP - _FORCED_SPLITS
-    if depth <= 0 or converged:
-        return left + right + delta / 15.0
-    return _adaptive_simpson(
-        f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1
-    ) + _adaptive_simpson(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1)
+_START_PANELS = 4
+_ROUND_CAP = 40  # halvings reach ~1e-12 of the interval, far below any smooth need
+_ROUNDING_FLOOR = 50.0 * np.finfo(float).eps  # QUADPACK's |K - G| noise level
 
 
 def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
-    """Adaptive-Simpson integral of f over [a, b], |error| of order tol.
+    """Adaptive Gauss-Kronrod (G7-K15) integral of f over [a, b].
 
-    The orientation is signed: integrate(f, b, a) == -integrate(f, a, b).
-    Recursion depth is capped at 40, far below the point where subintervals
-    reach rounding size for any finite interval.
+    f maps arrays to arrays.  Starting from four equal panels, each round
+    evaluates the 15 nodes and both edges of every open panel in one call;
+    a panel of width h is accepted when |K15 - G7| <= tol*h/(b - a) or when
+    |K15 - G7| is at the rounding floor 50*eps*K15(|f|), and is halved
+    otherwise.  The orientation is signed: integrate(f, b, a) ==
+    -integrate(f, a, b).  A non-finite sample (the edges catch a pole at a
+    panel end) and panels still open after 40 rounds (a pole or a divergent
+    integral) raise ValueError.
     """
     a = float(a)
     b = float(b)
@@ -205,11 +241,25 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
         return 0.0
     if b < a:
         return -integrate(f, b, a, tol)
-    fa = f(a)
-    fb = f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    if not all(math.isfinite(v) for v in (fa, fb, fm)):
-        raise ValueError("non-finite sample encountered")
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, fa, b, fb, m, fm, whole, tol, _DEPTH_CAP)
+    edges = np.linspace(a, b, _START_PANELS + 1)
+    lo, hi = edges[:-1], edges[1:]
+    accepted: list[float] = []
+    for _ in range(_ROUND_CAP):
+        half = 0.5 * (hi - lo)
+        nodes = (lo + half)[:, None] + half[:, None] * _GK_NODES
+        ys = _eval_grid(f, np.concatenate([nodes.ravel(), lo, hi]))
+        if not np.all(np.isfinite(ys)):
+            raise ValueError("non-finite sample encountered")
+        ys = ys[:nodes.size].reshape(nodes.shape)
+        kronrod = half * (ys @ _K15_WEIGHTS)
+        error = np.abs(kronrod - half * (ys @ _G7_WEIGHTS))
+        done = (error <= tol * (hi - lo) / (b - a)) | (
+            error <= _ROUNDING_FLOOR * half * (np.abs(ys) @ _K15_WEIGHTS)
+        )
+        accepted.extend(kronrod[done].tolist())
+        if done.all():
+            return math.fsum(accepted)
+        lo, hi = lo[~done], hi[~done]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    raise ValueError(f"integral did not converge in {_ROUND_CAP} rounds (pole or divergence)")

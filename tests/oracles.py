@@ -6,6 +6,9 @@
   equation-family solver.
 - mc_common_area estimates the area of the intersection of two region
   unions by seeded rejection sampling, independent of any quadrature.
+- bisection_roots is the plain reference for numerics.find_roots: the same
+  grid, gates and dedupe rule, with vectorized bisection for sign changes
+  and a scalar golden-section search per touching zero.
 """
 
 import math
@@ -13,6 +16,15 @@ import math
 import numpy as np
 
 from curvekit._kernels import close_pair_points, cluster_points
+from curvekit.numerics import (
+    DEDUPE_FACTOR,
+    DEFAULT_GRID_PER_TWO_PI,
+    DEFAULT_TOL,
+    POLE_MAGNITUDE,
+    RESIDUAL_GATE,
+    TANGENTIAL_GATE,
+    TANGENTIAL_PREFILTER,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,3 +95,69 @@ def mc_common_area(regions_a, regions_b, n=1_000_000, seed=20240501):
     estimate = box * p
     sigma = box * math.sqrt(max(p * (1.0 - p), 1e-30) / n)
     return estimate, sigma
+
+
+def _bisect(f, lo, hi, width):
+    flo = f(lo)
+    for _ in range(200):
+        if np.all(hi - lo < width):
+            break
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        left = (flo <= 0) == (fmid <= 0)
+        lo, flo, hi = np.where(left, mid, lo), np.where(left, fmid, flo), np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _golden(f, a, b, tol):
+    def g(x):
+        return abs(float(f(np.array([x]))[0]))
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = g(c), g(d)
+    while b - a >= tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = g(d)
+    return 0.5 * (a + b)
+
+
+def bisection_roots(f, a, b, tol=DEFAULT_TOL, right_open=False):
+    """Sorted roots of f on [a, b] (or [a, b)) by bisection to 1e-3 * tol."""
+    grid_n = max(32, int(math.ceil(DEFAULT_GRID_PER_TWO_PI * (b - a) / TWO_PI)))
+    xs = np.linspace(a, b, grid_n + 1)
+    ys = f(xs)
+    ok = np.isfinite(ys) & (np.abs(ys) < POLE_MAGNITUDE)
+    candidates = list(xs[ok & (ys == 0.0)])
+    idx = np.nonzero(ok[:-1] & ok[1:] & (np.sign(ys[:-1]) * np.sign(ys[1:]) < 0))[0]
+    if idx.size:
+        roots = _bisect(f, xs[idx], xs[idx + 1], 1e-3 * tol)
+        candidates += list(roots[np.abs(f(roots)) < RESIDUAL_GATE])
+    ay = np.abs(ys)
+    last = len(xs) - 1
+    for i in range(len(xs)):
+        if not ok[i] or ay[i] == 0.0 or ay[i] >= TANGENTIAL_PREFILTER:
+            continue
+        if i > 0 and not (ok[i - 1] and ay[i - 1] >= ay[i] and np.sign(ys[i - 1]) * np.sign(ys[i]) >= 0):
+            continue
+        if i < last and not (ok[i + 1] and ay[i + 1] >= ay[i] and np.sign(ys[i + 1]) * np.sign(ys[i]) >= 0):
+            continue
+        m = _golden(f, xs[max(i - 1, 0)], xs[min(i + 1, last)], tol)
+        if abs(f(np.array([m]))[0]) < TANGENTIAL_GATE:
+            candidates.append(m)
+    roots = []
+    for root in sorted(candidates):
+        if right_open and abs(root - b) <= DEDUPE_FACTOR * tol:
+            continue
+        if roots and root - roots[-1] < DEDUPE_FACTOR * tol:
+            if abs(f(np.array([root]))[0]) < abs(f(np.array([roots[-1]]))[0]):
+                roots[-1] = root
+            continue
+        roots.append(root)
+    return [float(r) for r in roots]

@@ -85,8 +85,10 @@ def test_c01_intersection_golden_set():
 
     result = intersections(curve("cos(theta)"), curve("1 - cos(theta)"))
     check(failures, result.origin, "(cos, 1-cos): origin missing")
-    got = sorted((p.point.real, p.point.imag) for p in result.points)
-    expected = sorted([(0.25, -math.sqrt(3.0) / 4.0), (0.25, math.sqrt(3.0) / 4.0)])
+    # both points have x = 1/4 (up to rounding), so pair them by y
+    got = sorted(((p.point.real, p.point.imag) for p in result.points), key=lambda xy: xy[1])
+    expected = sorted([(0.25, -math.sqrt(3.0) / 4.0), (0.25, math.sqrt(3.0) / 4.0)],
+                      key=lambda xy: xy[1])
     check(failures, len(got) == 2, "(cos, 1-cos): expected 2 nonzero points")
     for g, e in zip(got, expected):
         check(failures, abs(g[0] - e[0]) < tol and abs(g[1] - e[1]) < tol,

@@ -131,6 +131,21 @@ class TestInvariants:
         assert [p.point for p in first.points] == [p.point for p in second.points]
         assert [p.theta1 for p in first.points] == [p.theta1 for p in second.points]
 
+    def test_witnesses_are_the_smallest_angles(self):
+        # sin(5t) = cos(5t) at t = pi/20 + k*pi/5, and t, t + pi name the same
+        # point, so each of the 5 points has witnesses in both halves of
+        # [0, 2*pi); the reported pair is the smallest, on the same ray.
+        result = intersections(curve("sin(5*theta)"), curve("cos(5*theta)"))
+        assert len(result.points) == 5
+        phases = [round(math.atan2(p.point.imag, p.point.real) % (2.0 * math.pi), 9)
+                  for p in result.points]
+        assert phases == sorted(phases)
+        witnesses = sorted(p.theta1 for p in result.points)
+        expected = [math.pi / 20.0 + k * math.pi / 5.0 for k in range(5)]
+        assert witnesses == pytest.approx(expected, abs=1e-9)
+        for p in result.points:
+            assert p.theta2 == p.theta1
+
 
 class TestDegenerate:
     def test_same_expression(self):

@@ -1,9 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curvekit.numerics import RootList, find_roots, integrate
+from curvekit.area import SectorRegion, loop_area
+from curvekit.numerics import RESIDUAL_GATE, RootList, find_roots, integrate
+from curvekit.polar import PolarCurve
+from oracles import bisection_roots
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,15 +73,52 @@ class TestFindRoots:
         assert isinstance(roots, RootList)
         assert len(roots) == len(roots.residuals) == 1
 
+    def test_matches_bisection_reference(self):
+        for f, b in reference_equations():
+            roots = find_roots(f, 0.0, b, right_open=True)
+            expected = bisection_roots(f, 0.0, b, right_open=True)
+            assert len(roots) == len(expected)
+            assert np.allclose(list(roots), expected, rtol=0.0, atol=1e-10)
+            if len(roots):
+                assert np.all(np.abs(f(np.array(list(roots)))) < RESIDUAL_GATE)
+
+
+def reference_equations():
+    """Seeded trigonometric polynomials, plus rose, limacon and tangency
+    equations as the intersection and decomposition code builds them."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(120):
+        k = int(rng.integers(1, 7))
+        c, s = rng.normal(size=k + 1), rng.normal(size=k + 1)
+        yield (lambda t, c=c, s=s: sum(c[j] * np.cos(j * t) + s[j] * np.sin(j * t)
+                                       for j in range(len(c)))), TWO_PI
+    def radius(text):
+        return PolarCurve(text).eval_many
+
+    for n in range(1, 13):
+        f, g = radius(f"sin({n}*theta)"), radius(f"cos({n}*theta)")
+        yield (lambda t, f=f, g=g: f(t) - g(t)), TWO_PI
+        yield (lambda t, f=f, g=g: f(t) + g(t + math.pi)), TWO_PI
+    for m, n in [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]:
+        yield radius(f"cos({m}*theta) - sin({n}*theta)"), 2.0 * TWO_PI
+    for lam in (0.5, 1.0, 1.5, 2.0, 3.0):
+        f, g = radius(f"1 - {lam}*sin(theta)"), radius(f"1 + {lam}*cos(theta)")
+        yield radius(f"1 + {lam}*cos(theta)"), TWO_PI
+        yield (lambda t, f=f, g=g: f(t) - g(t)), TWO_PI
+    for text in ("2*cos(theta) - (1 + cos(theta))", "2*cos(theta) + (1 + cos(theta + pi))",
+                 "cos(theta - 0.3) - 1", "1 - sin(theta)", "cos(3*theta) - 1",
+                 "sin(2*theta)^2", "(cos(theta) - 0.4)^2"):
+        yield radius(text), TWO_PI
+
 
 class TestIntegrate:
     def test_sine_hump(self):
-        assert integrate(math.sin, 0.0, math.pi, 1e-10) == pytest.approx(2.0, abs=1e-9)
+        assert integrate(np.sin, 0.0, math.pi, 1e-10) == pytest.approx(2.0, abs=1e-9)
 
     def test_sin_squared_closed_form(self):
         # antiderivative of sin^2 is theta/2 - sin(2*theta)/4
         expected = math.pi / 8 - 0.25
-        value = integrate(lambda t: math.sin(t) ** 2, 0.0, math.pi / 4, 1e-10)
+        value = integrate(lambda t: np.sin(t) ** 2, 0.0, math.pi / 4, 1e-10)
         assert value == pytest.approx(expected, abs=1e-10)
 
     def test_circle_circumference(self):
@@ -82,7 +127,7 @@ class TestIntegrate:
         assert value == pytest.approx(6.0 * math.pi, abs=1e-10)
 
     def test_additivity(self):
-        f = lambda t: math.exp(math.sin(3.0 * t))
+        f = lambda t: np.exp(np.sin(3.0 * t))
         tol = 1e-10
         whole = integrate(f, 0.0, 2.0, tol)
         split = integrate(f, 0.0, 0.731, tol) + integrate(f, 0.731, 2.0, tol)
@@ -90,18 +135,43 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("center", [0.0, 1.3])
     def test_odd_function_cancels(self, center):
-        f = lambda t: (t - center) ** 3 * math.cos(t - center) + math.sin(t - center)
+        f = lambda t: (t - center) ** 3 * np.cos(t - center) + np.sin(t - center)
         tol = 1e-10
         assert abs(integrate(f, center - 2.0, center + 2.0, tol)) < tol * 10
 
     def test_signed_orientation(self):
-        forward = integrate(math.sin, 0.0, math.pi, 1e-10)
-        assert integrate(math.sin, math.pi, 0.0, 1e-10) == -forward
+        forward = integrate(np.sin, 0.0, math.pi, 1e-10)
+        assert integrate(np.sin, math.pi, 0.0, 1e-10) == -forward
 
     def test_empty_interval(self):
-        assert integrate(math.sin, 1.0, 1.0) == 0.0
+        assert integrate(np.sin, 1.0, 1.0) == 0.0
 
     def test_non_finite_sample(self):
         with np.errstate(divide="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
-                integrate(lambda t: float(np.divide(1.0, t)), -1.0, 1.0, 1e-10)
+                integrate(lambda t: np.divide(1.0, t), -1.0, 1.0, 1e-10)
+
+    def test_pole_at_the_end_raises(self):
+        # tan(pi/2) evaluates to a finite 1.6e16, so only the round cap stops it
+        with pytest.raises(ValueError):
+            integrate(lambda t: np.tan(t) ** 2, 0.0, math.pi / 2, 1e-10)
+
+    def test_large_integrand_converges_at_the_rounding_floor(self):
+        # |f|^2 ~ 2e6: an absolute tol of 1e-10 lies below its rounding noise
+        region = SectorRegion(PolarCurve("1000*(1 + 0.5*cos(theta))"), (0.0, TWO_PI))
+        start = time.perf_counter()
+        value = loop_area(region)
+        assert time.perf_counter() - start < 1.0
+        assert value == pytest.approx(1.125e6 * math.pi, rel=1e-12)
+
+    def test_cli_pole_in_loop_area_exits_cleanly(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvekit", "area", "--loop",
+             "--c1", "tan(theta)", "--domain=0:pi/2"],
+            capture_output=True, env=env, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

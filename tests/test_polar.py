@@ -166,10 +166,11 @@ class TestPositivePieces:
             assert b - a == pytest.approx(math.pi, abs=1e-8)
 
     def test_half_angle_cosine_matches_half_angle_sine(self):
-        dec = positive_pieces(PolarCurve("cos(theta/2)", domain=(0.0, TWO_PI)))
+        curve = PolarCurve("cos(theta/2)", domain=(0.0, TWO_PI))
+        dec = positive_pieces(curve)
         assert len(dec) == 2
         assert not any(p.traced_twice for p in dec)
-        transformed = min(dec, key=lambda p: p.interval[1])
+        (transformed,) = [p for p in dec if p.curve.radius != curve.radius]
         phis = np.linspace(max(transformed.interval[0], 0.0), math.pi, 200)
         values = transformed.curve.eval_many(phis)
         assert np.max(np.abs(values - np.sin(phis / 2.0))) < 1e-9

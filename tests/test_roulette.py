@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
 from curvekit.roulette import (
@@ -70,6 +71,27 @@ class TestArcLength:
     def test_outside_domain(self):
         with pytest.raises(ValueError):
             arc_length(circle(1.0), 0.0, 100.0)
+
+    def test_ellipse_arc_where_the_coarse_estimate_agreed_by_accident(self):
+        # coarse and refined Simpson estimates agree here by accident (1.6e-8 off)
+        a, b, t = 2.3773612175017997, 1.9941926833573573, 3.301203937875852
+        assert abs(arc_length(ellipse(a, b), 0.0, t) - quad_ellipse_arc(a, b, t)) < 1e-12
+        assert quad_ellipse_arc(a, b, t) == pytest.approx(7.1988770111327, abs=1e-12)
+
+    def test_random_ellipse_arcs_against_quad(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            a, b = rng.uniform(2.0, 4.0), rng.uniform(1.0, 2.0)
+            t = rng.uniform(0.0, TWO_PI)
+            assert abs(arc_length(ellipse(a, b), 0.0, t) - quad_ellipse_arc(a, b, t)) < 1e-12
+
+
+def quad_ellipse_arc(a, b, t):
+    """Independent oracle: QUADPACK on the scalar speed of (a cos s, b sin s)."""
+    def speed(s):
+        return math.hypot(a * math.sin(s), b * math.cos(s))
+
+    return scipy.integrate.quad(speed, 0.0, t, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
 
 
 class TestRollState:
@@ -178,6 +200,11 @@ class TestTrace:
         points = trace(line(), RollConfig(1.0), 0.0, 4.0 * math.pi, 500)
         expected = np.array([cycloid_point(1.0, float(t)) for t in ts])
         assert np.max(np.abs(points - expected)) < 1e-9
+
+    def test_regularity_failure_at_a_sample(self):
+        base = ParamCurve("t^2", "t^2", domain=(-1.0, 1.0))  # alpha'(0) = 0
+        with pytest.raises(RegularityError):
+            trace(base, RollConfig(1.0), -1.0, 1.0, 3)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
