@@ -6,7 +6,6 @@ trajectories of circles rolling without slipping along parameterized curves
 (cycloids, epicycloids, hypocycloids and their generalizations).
 """
 
-from ._kernels import NUMBA_ENABLED
 from .area import (
     LimaconAnalysis,
     SectorRegion,
@@ -68,7 +67,6 @@ from .roulette import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "LimaconAnalysis",
     "SectorRegion",
     "limacon_analysis",

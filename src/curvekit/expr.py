@@ -12,7 +12,12 @@ Known functions: sin, cos, tan, sqrt, abs.  ``pi`` is a constant; ``t`` and
 ``theta`` both name the single free variable; every other identifier is a
 named parameter bound at evaluation time.  ``+ - * /`` are left associative,
 ``^`` binds tighter than unary minus (so ``-2^2`` is ``-(2^2) = -4``) and its
-exponent must reduce to a constant.
+exponent must reduce to a constant.  Expressions nested deeper than
+``MAX_DEPTH`` levels are rejected.
+
+Two evaluators share the AST: ``evaluate`` walks it at one point and raises
+``EvalError`` on any singularity; ``compile_program`` builds a ``Program``,
+nested numpy closures that evaluate it over an array with IEEE semantics.
 """
 
 from __future__ import annotations
@@ -20,27 +25,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
-
-from . import _kernels
-from ._kernels import (
-    OP_ABS,
-    OP_ADD,
-    OP_CONST,
-    OP_COS,
-    OP_DIV,
-    OP_MUL,
-    OP_NEG,
-    OP_POW,
-    OP_POWI,
-    OP_SIN,
-    OP_SQRT,
-    OP_SUB,
-    OP_TAN,
-    OP_VAR,
-)
 
 
 class ExprError(ValueError):
@@ -99,6 +86,12 @@ Node = Union[Const, Var, Param, Call, Neg, BinOp]
 FUNCTIONS = ("sin", "cos", "tan", "sqrt", "abs")
 VARIABLE_NAMES = ("t", "theta")
 
+# Deepest expression the parser accepts.  Parsing, folding, printing,
+# differentiation, substitution and both evaluators recurse once per level,
+# derivatives are several times deeper than their source, and Python's
+# recursion limit is 1,000 frames.
+MAX_DEPTH = 100
+
 
 def _fold(node: Node) -> Node | None:
     """Value of an all-constant subtree, or None if it has free symbols.
@@ -128,6 +121,17 @@ def _fold(node: Node) -> Node | None:
     except EvalError:
         return None
     return folded if math.isfinite(folded.value) else None
+
+
+def _contains(node: Node, kinds) -> bool:
+    """Whether any node of the tree is an instance of kinds."""
+    if isinstance(node, kinds):
+        return True
+    if isinstance(node, (Const, Var, Param)):
+        return False
+    if isinstance(node, (Neg, Call)):
+        return _contains(node.arg, kinds)
+    return _contains(node.left, kinds) or _contains(node.right, kinds)
 
 
 def neg(a: Node) -> Node:
@@ -188,7 +192,9 @@ def div(a: Node, b: Node) -> Node:
 def pow_(a: Node, b: Node) -> Node:
     exponent = _fold(b)
     if exponent is None:
-        raise ExprError("exponent of '^' must reduce to a constant")
+        if _contains(b, (Var, Param)):
+            raise ExprError("exponent of '^' must reduce to a constant")
+        raise ExprError("constant exponent of '^' overflows or is undefined")
     b = exponent
     folded = _fold(BinOp("^", a, b))
     if folded is not None:
@@ -231,7 +237,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _capped(depth: int, pos: int) -> int:
+    if depth > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+    return depth
+
+
 class _Parser:
+    """Recursive descent.  Each method takes the nesting level of the text
+    it parses and returns (node, height of its syntax tree), so neither the
+    parser's recursion nor any tree it builds goes beyond MAX_DEPTH."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
@@ -251,75 +267,79 @@ class _Parser:
         return self.take()
 
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr(0)
         kind, value, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected token {value!r}", pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self, level: int):
+        node, height = self.term(level)
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                rhs = self.term()
+                rhs, rhs_height = self.term(level)
+                height = _capped(max(height, rhs_height) + 1, pos)
                 node = add(node, rhs) if value == "+" else sub(node, rhs)
             else:
-                return node
+                return node, height
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self, level: int):
+        node, height = self.factor(level)
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "*/":
                 self.take()
-                rhs = self.factor()
+                rhs, rhs_height = self.factor(level)
+                height = _capped(max(height, rhs_height) + 1, pos)
                 node = mul(node, rhs) if value == "*" else div(node, rhs)
             else:
-                return node
+                return node, height
 
-    def factor(self) -> Node:
-        kind, value, _ = self.peek()
+    def factor(self, level: int):
+        kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.take()
-            return neg(self.factor())
-        return self.power()
+            arg, height = self.factor(_capped(level + 1, pos))
+            return neg(arg), _capped(height + 1, pos)
+        return self.power(level)
 
-    def power(self) -> Node:
-        base = self.atom()
+    def power(self, level: int):
+        base, height = self.atom(level)
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.take()
-            exponent = self.factor()
+            exponent, exponent_height = self.factor(_capped(level + 1, pos))
+            height = _capped(max(height, exponent_height) + 1, pos)
             try:
-                return pow_(base, exponent)
+                return pow_(base, exponent), height
             except ExprError as exc:
                 raise ExprSyntaxError(str(exc), pos) from None
-        return base
+        return base, height
 
-    def atom(self) -> Node:
+    def atom(self, level: int):
         kind, value, pos = self.take()
         if kind == "num":
-            return Const(float(value))
+            return Const(float(value)), 0
         if kind == "ident":
             nxt_kind, nxt_value, _ = self.peek()
             if nxt_kind == "op" and nxt_value == "(":
                 if value not in FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {value!r}", pos)
                 self.take()
-                arg = self.expr()
+                arg, height = self.expr(_capped(level + 1, pos))
                 self.expect_op(")")
-                return call(value, arg)
+                return call(value, arg), _capped(height + 1, pos)
             if value == "pi":
-                return Const(math.pi)
+                return Const(math.pi), 0
             if value in VARIABLE_NAMES:
-                return Var()
-            return Param(value)
+                return Var(), 0
+            return Param(value), 0
         if kind == "op" and value == "(":
-            node = self.expr()
+            result = self.expr(_capped(level + 1, pos))
             self.expect_op(")")
-            return node
+            return result
         raise ExprSyntaxError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 
 
@@ -531,69 +551,87 @@ def differentiate(node: Node) -> Node:
 
 @dataclass(frozen=True)
 class Program:
-    """Expression compiled to stack-machine bytecode for array evaluation."""
+    """Array evaluator of an expression: nested numpy closures, one per node.
 
-    code: np.ndarray
-    consts: np.ndarray
-    stack_size: int
+    Calling it maps an array of variable values to a new float array of the
+    same shape.  Evaluation follows IEEE semantics (poles give inf/nan,
+    without warnings); callers that need strict error reporting use
+    `evaluate`, the scalar AST walk.
+    """
 
-    def __call__(self, xs: np.ndarray, force_numpy: bool = False) -> np.ndarray:
-        return _kernels.run_program(self.code, self.consts, self.stack_size, xs, force_numpy)
+    fn: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        with np.errstate(all="ignore"):
+            out = self.fn(xs)
+        # Only the expression `t` returns xs itself, and only a constant
+        # returns a scalar; every other result is already a fresh array.
+        if out is xs or np.ndim(out) == 0:
+            return np.full(xs.shape, out)
+        return out
+
+
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "sqrt": np.sqrt, "abs": np.abs}
+
+# Integer exponents up to this size are evaluated by repeated multiplication,
+# which is exact for small powers and defined for negative bases.
+_MAX_MULTIPLIED_EXPONENT = 64
 
 
 def compile_program(node: Node, params: dict[str, float] | None = None) -> Program:
-    """Flatten an AST (with parameters bound as constants) to bytecode."""
-    params = params or {}
-    code: list[tuple[int, int]] = []
-    consts: list[float] = []
+    """Bind the parameters as constants and build the array evaluator."""
+    return Program(_closure(node, params or {}))
 
-    def const_index(value: float) -> int:
-        consts.append(float(value))
-        return len(consts) - 1
 
-    def emit(n: Node) -> None:
-        if isinstance(n, Const):
-            code.append((OP_CONST, const_index(n.value)))
-        elif isinstance(n, Var):
-            code.append((OP_VAR, 0))
-        elif isinstance(n, Param):
-            if n.name not in params:
-                raise EvalError(f"unbound parameter {n.name!r}")
-            code.append((OP_CONST, const_index(params[n.name])))
-        elif isinstance(n, Neg):
-            emit(n.arg)
-            code.append((OP_NEG, 0))
-        elif isinstance(n, Call):
-            emit(n.arg)
-            ops = {"sin": OP_SIN, "cos": OP_COS, "tan": OP_TAN, "sqrt": OP_SQRT, "abs": OP_ABS}
-            code.append((ops[n.func], 0))
-        else:
-            if n.op == "^":
-                emit(n.left)
-                exponent = n.right.value
-                if exponent == int(exponent) and abs(exponent) <= 64:
-                    code.append((OP_POWI, int(exponent)))
-                else:
-                    code.append((OP_POW, const_index(exponent)))
-            else:
-                emit(n.left)
-                emit(n.right)
-                ops = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV}
-                code.append((ops[n.op], 0))
+def _closure(node: Node, params: dict[str, float]):
+    """Function mapping xs to the node's values.
 
-    emit(node)
-    depth = 0
-    max_depth = 0
-    pushes = (OP_CONST, OP_VAR)
-    pops = (OP_ADD, OP_SUB, OP_MUL, OP_DIV)
-    for op, _ in code:
-        if op in pushes:
-            depth += 1
-        elif op in pops:
-            depth -= 1
-        max_depth = max(max_depth, depth)
-    return Program(
-        code=np.array(code, dtype=np.int64).reshape(-1, 2),
-        consts=np.array(consts, dtype=np.float64),
-        stack_size=max(max_depth, 1),
-    )
+    A subtree without the variable gives a numpy scalar.  Arithmetic on it
+    is exact, but a function or power of it is taken on an array of
+    xs.shape, because numpy's array loops and scalar path may round apart.
+    """
+    if isinstance(node, Const):
+        value = np.float64(node.value)
+        return lambda xs: value
+    if isinstance(node, Param):
+        if node.name not in params:
+            raise EvalError(f"unbound parameter {node.name!r}")
+        value = np.float64(params[node.name])
+        return lambda xs: value
+    if isinstance(node, Var):
+        return lambda xs: xs
+    if isinstance(node, Neg):
+        arg = _closure(node.arg, params)
+        return lambda xs: -arg(xs)
+    if isinstance(node, BinOp) and node.op != "^":
+        left, right = _closure(node.left, params), _closure(node.right, params)
+        if node.op == "+":
+            return lambda xs: left(xs) + right(xs)
+        if node.op == "-":
+            return lambda xs: left(xs) - right(xs)
+        if node.op == "*":
+            return lambda xs: left(xs) * right(xs)
+        return lambda xs: left(xs) / right(xs)
+    operand = node.arg if isinstance(node, Call) else node.left
+    arg = _closure(operand, params)
+    if not _contains(operand, Var):
+        scalar = arg
+        arg = lambda xs: np.full(xs.shape, scalar(xs))
+    if isinstance(node, Call):
+        func = _UFUNCS[node.func]
+        return lambda xs: func(arg(xs))
+    exponent = node.right.value
+    if exponent != int(exponent) or abs(exponent) > _MAX_MULTIPLIED_EXPONENT:
+        exponent = np.float64(exponent)
+        return lambda xs: arg(xs) ** exponent
+    k = int(exponent)
+
+    def power(xs):
+        base = arg(xs)
+        acc = np.ones(xs.shape)
+        for _ in range(abs(k)):
+            acc = acc * base
+        return 1.0 / acc if k < 0 else acc
+
+    return power

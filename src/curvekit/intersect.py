@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import symmetric_hausdorff
-from .numerics import find_roots
+from .numerics import find_roots, symmetric_hausdorff
 from .polar import PolarCurve
 
 ZERO_RADIUS_TOL = 1e-9

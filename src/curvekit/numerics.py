@@ -1,4 +1,5 @@
-"""Root finding on a bracketing grid and adaptive Gauss-Kronrod quadrature.
+"""Root finding on a bracketing grid, adaptive Gauss-Kronrod quadrature, and
+the Hausdorff distance between sampled graphs.
 
 These are the shared scalar-equation and integral engines for the polar,
 intersection, area and roulette computations.  Both take functions that map
@@ -263,3 +264,19 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     raise ValueError(f"integral did not converge in {_ROUND_CAP} rounds (pole or divergence)")
+
+
+def symmetric_hausdorff(za, zb):
+    """max(sup_a inf_b |a-b|, sup_b inf_a |a-b|) for two point clouds."""
+    za = np.asarray(za, dtype=complex).reshape(-1)
+    zb = np.asarray(zb, dtype=complex).reshape(-1)
+    if za.size == 0 or zb.size == 0:
+        raise ValueError("empty point set")
+    d_ab = 0.0
+    chunk = 1024
+    mins_b = np.full(zb.shape, np.inf)
+    for s in range(0, za.size, chunk):
+        block = np.abs(za[s : s + chunk, None] - zb[None, :])
+        d_ab = max(d_ab, float(block.min(axis=1).max()))
+        np.minimum(mins_b, block.min(axis=0), out=mins_b)
+    return max(d_ab, float(mins_b.max()))

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from ._kernels import symmetric_hausdorff
-from .numerics import find_roots
+from .numerics import find_roots, symmetric_hausdorff
 
 TWO_PI = 2.0 * math.pi
 

@@ -2,8 +2,8 @@
 
 - rasterized_intersections counts intersection points by brute force:
   sample both graphs densely, collect point pairs closer than a pixel
-  tolerance, and single-linkage cluster them.  It never touches the
-  equation-family solver.
+  tolerance (close_pair_points), and single-linkage cluster them
+  (cluster_points).  It never touches the equation-family solver.
 - mc_common_area estimates the area of the intersection of two region
   unions by seeded rejection sampling, independent of any quadrature.
 - bisection_roots is the plain reference for numerics.find_roots: the same
@@ -14,8 +14,10 @@
 import math
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
-from curvekit._kernels import close_pair_points, cluster_points
 from curvekit.numerics import (
     DEDUPE_FACTOR,
     DEFAULT_GRID_PER_TWO_PI,
@@ -27,6 +29,41 @@ from curvekit.numerics import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def _close_pairs(za, zb, tol):
+    """Index arrays (i, j) of all pairs with |za[i] - zb[j]| < tol."""
+    trees = [cKDTree(np.column_stack([z.real, z.imag])) for z in (za, zb)]
+    pairs = trees[0].sparse_distance_matrix(trees[1], tol, output_type="ndarray")
+    pairs = pairs[pairs["v"] < tol]
+    return pairs["i"], pairs["j"]
+
+
+def close_pair_points(za, zb, tol):
+    """Midpoints of all pairs (a, b), a from za, b from zb, with |a-b| < tol."""
+    za = np.asarray(za, dtype=complex).reshape(-1)
+    zb = np.asarray(zb, dtype=complex).reshape(-1)
+    i, j = _close_pairs(za, zb, tol)
+    return 0.5 * (za[i] + zb[j])
+
+
+def cluster_points(z, tol):
+    """Single-linkage clusters of a point set; returns (count, centroids).
+
+    Points chained by gaps smaller than tol belong to one cluster, so a run
+    of near-coincident samples along a tangency arc counts once.  Clusters
+    come in the order of their leftmost member.
+    """
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    if z.size == 0:
+        return 0, np.empty(0, dtype=complex)
+    z = z[np.argsort(z.real, kind="stable")]
+    i, j = _close_pairs(z, z, tol)
+    graph = coo_matrix((np.ones(i.size), (i, j)), shape=(z.size, z.size))
+    count, labels = connected_components(graph, directed=False)
+    sizes = np.bincount(labels)
+    centroids = (np.bincount(labels, z.real) + 1j * np.bincount(labels, z.imag)) / sizes
+    return count, centroids
 
 
 def _dense_graph(curve, pair_tol, min_samples):

@@ -116,6 +116,22 @@ class TestPeriodAndSymmetry:
         _, out = run_inprocess(["symmetry", "--c1", "sin(2*theta)", "--rotation", "pi/2"])
         assert json.loads(out)["symmetric"] is True
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("(" * 1200 + "theta" + ")" * 1200, b"nested deeper than"),
+            ("+".join(["theta"] * 3000), b"nested deeper than"),
+            ("2^1000^1000", b"overflows or is undefined"),
+        ],
+        ids=["nested-parentheses", "long-sum", "overflowing-exponent"],
+    )
+    def test_bad_expression_exits_one_without_traceback(self, source, message):
+        result = run_subprocess(["period", f"--c1={source}"])
+        assert result.returncode == 1
+        assert result.stderr.startswith(b"error:") and message in result.stderr
+        assert b"Traceback" not in result.stderr
+        assert result.stdout == b""
+
 
 class TestDecomposeCommand:
     def test_half_angle_cosine(self):

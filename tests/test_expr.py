@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from curvekit.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
     DifferentiationError,
     EvalError,
+    ExprError,
     ExprSyntaxError,
     Param,
     Var,
+    _evaluate,
     compile_program,
     differentiate,
     evaluate,
@@ -77,6 +80,36 @@ class TestParse:
 
     def test_constant_exponent_may_be_an_expression(self):
         assert parse("t^(3/2)") == BinOp("^", Var(), Const(1.5))
+
+    def test_overflowing_exponent_is_named(self):
+        for source in ("2^1000^1000", "t^(1/0)"):
+            with pytest.raises(ExprSyntaxError, match="overflows or is undefined"):
+                parse(source)
+
+    def test_depth_cap(self):
+        deep = [
+            "(" * (MAX_DEPTH + 1) + "t" + ")" * (MAX_DEPTH + 1),
+            "sin(" * (MAX_DEPTH + 1) + "t" + ")" * (MAX_DEPTH + 1),
+            "-" * (MAX_DEPTH + 1) + "t",
+            "t^" * (MAX_DEPTH + 1) + "1",
+            "+".join(["t"] * (MAX_DEPTH + 2)),
+            "*".join(["t"] * (MAX_DEPTH + 2)),
+        ]
+        for source in deep:
+            with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH}"):
+                parse(source)
+
+    def test_depth_cap_admits_its_own_depth(self):
+        # the deepest accepted trees still differentiate and evaluate
+        for source in (
+            "sin(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH,
+            "1/(" * (MAX_DEPTH // 2) + "t" + ")" * (MAX_DEPTH // 2),
+            "+".join(["t"] * (MAX_DEPTH + 1)),
+        ):
+            ast = parse(source)
+            d2 = differentiate(differentiate(ast))
+            assert parse(to_string(ast)) == ast
+            assert np.isfinite(compile_program(d2)(np.array([0.3]))[0])
 
 
 class TestEvaluate:
@@ -198,6 +231,48 @@ class TestPrograms:
         program = compile_program(parse("1/t"))
         values = program(np.array([0.0, 2.0]))
         assert np.isinf(values[0]) and values[1] == 0.5
+
+    def test_tangent_and_division_poles(self):
+        program = compile_program(parse("tan(t) / (1 - t)"))
+        values = program(np.array([0.0, 1.0, 2.0]))
+        assert np.isfinite(values[0])
+        assert not np.isfinite(values[1])
+
+    def test_integer_power_of_negative_base(self):
+        program = compile_program(parse("t^3"))
+        assert program(np.array([-2.0]))[0] == -8.0
+
+    def test_results_are_fresh_arrays_of_the_input_shape(self):
+        xs = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        for source in ("t", "2.5", "a", "sin(a)"):
+            out = compile_program(parse(source), {"a": 0.5})(xs)
+            assert out.shape == xs.shape and out.dtype == np.float64
+            assert not np.shares_memory(out, xs)
+            out += 1.0  # writable, and writing leaves the input alone
+        assert np.array_equal(xs, np.linspace(0.0, 1.0, 6).reshape(2, 3))
+
+    def test_matches_ast_walk_on_random_expressions(self):
+        rng = np.random.default_rng(31415)
+        xs = np.linspace(-6.0, 6.0, 2001)
+        params = {"lambda": 2.0, "R": 3.0, "a": 1.5, "b": 0.5}
+
+        def walk(ast, x):
+            try:
+                return _evaluate(ast, x, params)
+            except (ExprError, ValueError):
+                return math.nan
+
+        checked = 0
+        with np.errstate(all="ignore"):
+            for _ in range(40):
+                ast = random_ast(rng)
+                fast = compile_program(ast, params)(xs)
+                slow = np.array([walk(ast, float(x)) for x in xs])
+                finite = np.isfinite(fast) & np.isfinite(slow)
+                assert np.array_equal(np.isfinite(fast), np.isfinite(slow))
+                assert np.allclose(fast[finite], slow[finite], rtol=1e-12, atol=1e-12)
+                checked += 1
+        assert checked == 40
 
 
 class TestSubstitution:

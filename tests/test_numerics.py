@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from curvekit.area import SectorRegion, loop_area
-from curvekit.numerics import RESIDUAL_GATE, RootList, find_roots, integrate
+from curvekit.numerics import (
+    RESIDUAL_GATE,
+    RootList,
+    find_roots,
+    integrate,
+    symmetric_hausdorff,
+)
 from curvekit.polar import PolarCurve
 from oracles import bisection_roots
 
@@ -175,3 +181,18 @@ class TestIntegrate:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+class TestHausdorff:
+    def test_identical_sets(self):
+        z = np.exp(1j * np.linspace(0, 6, 100))
+        assert symmetric_hausdorff(z, z) == 0.0
+
+    def test_known_distance(self):
+        a = np.array([0j, 1.0 + 0j])
+        b = np.array([0j, 1.5 + 0j])
+        assert symmetric_hausdorff(a, b) == pytest.approx(0.5)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            symmetric_hausdorff(np.empty(0, dtype=complex), np.array([0j]))
