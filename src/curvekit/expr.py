@@ -321,7 +321,10 @@ class _Parser:
     def atom(self, level: int):
         kind, value, pos = self.take()
         if kind == "num":
-            return Const(float(value)), 0
+            number = float(value)
+            if math.isinf(number):
+                raise ExprSyntaxError(f"numeric literal {value!r} overflows", pos)
+            return Const(number), 0
         if kind == "ident":
             nxt_kind, nxt_value, _ = self.peek()
             if nxt_kind == "op" and nxt_value == "(":

@@ -266,17 +266,66 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
     raise ValueError(f"integral did not converge in {_ROUND_CAP} rounds (pole or divergence)")
 
 
+# Every 16th point of the other cloud bounds each point's nearest distance
+# from above at 1/16 of a full scan per direction.  On curve samples (1,024
+# graph points, 256 piece points) that subsample is still dense enough to rule
+# out nearly every point of two distinct graphs; strides 8 and 32 were both
+# slower on the Hausdorff calls of the benchmark's library workload.
+_HAUSDORFF_STRIDE = 16
+# Exact nearest distances of the points with the loosest bounds give a
+# distance the maximum certainly reaches.  8 points per direction cost 8
+# rows of a full scan, under 1 % of it on graph samples, and leave room for
+# curves whose far stretches are several (1 to 16 timed within noise).
+_HAUSDORFF_SEEDS = 8
+_HAUSDORFF_CHUNK = 1024
+
+
+def _nearest(z, other):
+    """Distance from each point of z to its nearest point of other."""
+    return np.concatenate([
+        np.abs(z[s : s + _HAUSDORFF_CHUNK, None] - other[None, :]).min(axis=1)
+        for s in range(0, z.size, _HAUSDORFF_CHUNK)
+    ])
+
+
 def symmetric_hausdorff(za, zb):
-    """max(sup_a inf_b |a-b|, sup_b inf_a |a-b|) for two point clouds."""
+    """max(sup_a inf_b |a-b|, sup_b inf_a |a-b|) for two point clouds.
+
+    Exact, in the manner of Taha & Hanbury (IEEE TPAMI 37(11), 2015): every
+    point gets an upper bound on its nearest distance from a subsample of
+    the other cloud, a few points with the loosest bounds get exact nearest
+    distances, and only the points whose bound still exceeds the largest of
+    those are scanned in full.  Each distance is np.abs of a complex
+    difference and only min and max combine them, so the result equals the
+    brute-force scan bit for bit.  When most points stay open (the clouds
+    nearly coincide) one full block serves both directions instead.  The
+    points must be finite.
+    """
     za = np.asarray(za, dtype=complex).reshape(-1)
     zb = np.asarray(zb, dtype=complex).reshape(-1)
     if za.size == 0 or zb.size == 0:
         raise ValueError("empty point set")
+    clouds = ((za, zb), (zb, za))
+    bounds = [_nearest(z, other[::_HAUSDORFF_STRIDE]) for z, other in clouds]
+    seeds = [np.argsort(bound)[-_HAUSDORFF_SEEDS:] for bound in bounds]
+    found = max(float(_nearest(z[i], other).max()) for (z, other), i in zip(clouds, seeds))
+    open_ = [bound > found for bound in bounds]
+    for mask, i in zip(open_, seeds):
+        mask[i] = False
+    if 2 * sum(int(mask.sum()) for mask in open_) > za.size + zb.size:
+        return _full_block_hausdorff(za, zb)
+    for (z, other), mask in zip(clouds, open_):
+        if mask.any():
+            found = max(found, float(_nearest(z[mask], other).max()))
+    return found
+
+
+def _full_block_hausdorff(za, zb):
+    """Every point pair, in row chunks; each block serves both directions."""
     d_ab = 0.0
-    chunk = 1024
     mins_b = np.full(zb.shape, np.inf)
-    for s in range(0, za.size, chunk):
-        block = np.abs(za[s : s + chunk, None] - zb[None, :])
+    for s in range(0, za.size, _HAUSDORFF_CHUNK):
+        block = np.abs(za[s : s + _HAUSDORFF_CHUNK, None] - zb[None, :])
         d_ab = max(d_ab, float(block.min(axis=1).max()))
         np.minimum(mins_b, block.min(axis=0), out=mins_b)
     return max(d_ab, float(mins_b.max()))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from .numerics import find_roots, symmetric_hausdorff
+from .numerics import POLE_MAGNITUDE, find_roots, symmetric_hausdorff
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,7 +114,12 @@ class PolarCurve:
 
     def period_multiple_of_pi(self, max_multiple: int = 64) -> int | None:
         """Smallest N <= max_multiple with f(theta) = (-1)^N f(theta + N*pi)
-        on a sample sweep, i.e. the polar graph repeats after N*pi."""
+        on a sample sweep, i.e. the polar graph repeats after N*pi.
+
+        Samples at or beyond POLE_MAGNITUDE on either side are poles, as in
+        find_roots, and are left out; the rest must agree to PERIOD_TOL
+        relative to their size.  NaN samples, or no sample left, raise
+        EvalError."""
         if self._period is not None:
             return self._period if self._period <= max_multiple else None
         if self._period_searched >= max_multiple:
@@ -125,10 +130,14 @@ class PolarCurve:
             rhs = self.eval_many(thetas + n * math.pi)
             if n % 2 == 1:
                 rhs = -rhs
-            if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+            if np.isnan(lhs).any() or np.isnan(rhs).any():
                 raise _expr.EvalError("curve evaluation failed during period scan")
+            kept = (np.abs(lhs) < POLE_MAGNITUDE) & (np.abs(rhs) < POLE_MAGNITUDE)
+            if not kept.any():
+                raise _expr.EvalError("curve is at a pole at every sample of the period scan")
             self._period_searched = n
-            if np.max(np.abs(lhs - rhs)) < PERIOD_TOL:
+            lhs, rhs = lhs[kept], rhs[kept]
+            if np.all(np.abs(lhs - rhs) < PERIOD_TOL * np.maximum(1.0, np.abs(lhs))):
                 self._period = n
                 return n
         return None
@@ -287,13 +296,14 @@ def positive_pieces(curve: PolarCurve) -> PiecewiseDecomposition:
 
     pieces.sort(key=lambda p: p.interval)
     flagged: list[Piece] = []
+    earlier_points: list[np.ndarray] = []
     for piece in pieces:
         pts = piece.sample_points()
         duplicate = any(
-            symmetric_hausdorff(pts, earlier.sample_points()) < PIECE_MATCH_TOL
-            for earlier in flagged
+            symmetric_hausdorff(pts, earlier) < PIECE_MATCH_TOL for earlier in earlier_points
         )
         if duplicate:
             piece = Piece(piece.curve, piece.interval, traced_twice=True)
         flagged.append(piece)
+        earlier_points.append(pts)
     return PiecewiseDecomposition(tuple(flagged))

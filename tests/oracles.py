@@ -9,6 +9,9 @@
 - bisection_roots is the plain reference for numerics.find_roots: the same
   grid, gates and dedupe rule, with vectorized bisection for sign changes
   and a scalar golden-section search per touching zero.
+- brute_hausdorff is the plain reference for numerics.symmetric_hausdorff:
+  every point pair in chunks of 1,024 rows, each distance np.abs of a complex
+  difference, so the pruned scan must match it bit for bit.
 """
 
 import math
@@ -198,3 +201,19 @@ def bisection_roots(f, a, b, tol=DEFAULT_TOL, right_open=False):
             continue
         roots.append(root)
     return [float(r) for r in roots]
+
+
+def brute_hausdorff(za, zb):
+    """max(sup_a inf_b |a-b|, sup_b inf_a |a-b|) over every point pair."""
+    za = np.asarray(za, dtype=complex).reshape(-1)
+    zb = np.asarray(zb, dtype=complex).reshape(-1)
+    if za.size == 0 or zb.size == 0:
+        raise ValueError("empty point set")
+    d_ab = 0.0
+    chunk = 1024
+    mins_b = np.full(zb.shape, np.inf)
+    for s in range(0, za.size, chunk):
+        block = np.abs(za[s : s + chunk, None] - zb[None, :])
+        d_ab = max(d_ab, float(block.min(axis=1).max()))
+        np.minimum(mins_b, block.min(axis=0), out=mins_b)
+    return max(d_ab, float(mins_b.max()))

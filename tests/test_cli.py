@@ -60,6 +60,13 @@ class TestIntersectCommand:
         assert payload["points"][0]["x"] == pytest.approx(1.0, abs=1e-8)
         assert payload["points"][0]["y"] == pytest.approx(0.0, abs=1e-8)
 
+    def test_line_tangent_to_circle(self):
+        # r = 1/cos(theta) is the line x = 1, with a pole at theta = pi/2
+        code, out = run_inprocess(["intersect", "--c1", "1/cos(theta)", "--c2", "1"])
+        assert code == 0
+        points = json.loads(out)["points"]
+        assert [(p["x"], p["y"]) for p in points] == [(1.0, 0.0)]
+
     def test_identical_curves_exit_two(self):
         result = run_subprocess(["intersect", "--c1", "cos(theta)", "--c2", "cos(theta)"])
         assert result.returncode == 2
@@ -122,8 +129,9 @@ class TestPeriodAndSymmetry:
             ("(" * 1200 + "theta" + ")" * 1200, b"nested deeper than"),
             ("+".join(["theta"] * 3000), b"nested deeper than"),
             ("2^1000^1000", b"overflows or is undefined"),
+            ("sin(1e400)", b"numeric literal '1e400' overflows"),
         ],
-        ids=["nested-parentheses", "long-sum", "overflowing-exponent"],
+        ids=["nested-parentheses", "long-sum", "overflowing-exponent", "overflowing-literal"],
     )
     def test_bad_expression_exits_one_without_traceback(self, source, message):
         result = run_subprocess(["period", f"--c1={source}"])

@@ -86,6 +86,11 @@ class TestParse:
             with pytest.raises(ExprSyntaxError, match="overflows or is undefined"):
                 parse(source)
 
+    def test_overflowing_literal_is_named(self):
+        with pytest.raises(ExprSyntaxError, match="numeric literal '1e400' overflows") as err:
+            parse("sin(1e400)")
+        assert err.value.position == 4
+
     def test_depth_cap(self):
         deep = [
             "(" * (MAX_DEPTH + 1) + "t" + ")" * (MAX_DEPTH + 1),

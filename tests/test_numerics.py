@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import directed_hausdorff
 
+from curvekit import numerics
 from curvekit.area import SectorRegion, loop_area
+from curvekit.intersect import graph_points
 from curvekit.numerics import (
     RESIDUAL_GATE,
     RootList,
@@ -17,7 +20,7 @@ from curvekit.numerics import (
     symmetric_hausdorff,
 )
 from curvekit.polar import PolarCurve
-from oracles import bisection_roots
+from oracles import bisection_roots, brute_hausdorff
 
 TWO_PI = 2.0 * math.pi
 
@@ -196,3 +199,65 @@ class TestHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             symmetric_hausdorff(np.empty(0, dtype=complex), np.array([0j]))
+
+    # Pairs that trace the same graph (as in the benchmark's identical-graph
+    # intersect inputs): a 2k*pi shift, the half-turn form of the equality
+    # rule, and the sign flip of an even rose.
+    IDENTICAL_TEMPLATES = (
+        ("cos({n}*theta)", "-cos({n}*theta + {n}*pi)", None),
+        ("sin({n}*theta)", "sin({n}*(theta + 2*pi))", None),
+        ("cos({m}*theta)", "-cos({m}*theta)", None),
+        ("sin({n}*theta)", "-sin({n}*theta + {n}*pi)", None),
+        ("1 - lambda*sin(theta)", "-1 - lambda*sin(theta)", "lambda"),
+        ("1 + lambda*cos(theta)", "-1 + lambda*cos(theta)", "lambda"),
+    )
+
+    def _cases(self):
+        rng = np.random.default_rng(20261018)
+
+        def cloud(n):
+            return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+        sizes = [1, 2, 5, 7, 8, 9, 15, 16, 17, 33, 256, 400]
+        for n in sizes:
+            m = int(rng.choice(sizes))
+            yield cloud(n), cloud(m) + 5.0  # disjoint, unequal sizes
+            z = cloud(n)
+            yield z, rng.permutation(z) + 1e-9 * cloud(n)  # jittered permutation
+            yield z, np.concatenate([z, cloud(m)])  # superset
+            yield z, z * np.exp(1e-3j * rng.uniform(0.5, 2.0))  # small rotation
+        for n in range(1, 13):
+            for trig in (("sin", "cos"), ("cos", "sin")):
+                yield self._graphs(f"{trig[0]}({n}*theta)", f"{trig[1]}({n}*theta)")
+        for m in range(1, 10):
+            for n in range(1, 10):
+                if math.gcd(m, n) == 1 and (m, n) != (1, 1):
+                    yield self._graphs(f"cos({m}*theta)", f"sin({n}*theta)")
+        for t1, t2, name in self.IDENTICAL_TEMPLATES:
+            for n in (1, 2, 5):
+                params = {name: float(rng.uniform(0.3, 2.8))} if name else {}
+                yield self._graphs(t1.format(n=n, m=2 * n), t2.format(n=n, m=2 * n), params)
+
+    @staticmethod
+    def _graphs(t1, t2, params=None):
+        return graph_points(PolarCurve(t1, params)), graph_points(PolarCurve(t2, params))
+
+    def test_pruned_scan_equals_brute_force(self, monkeypatch):
+        full_blocks = []
+        full_block = numerics._full_block_hausdorff
+
+        def counting(za, zb):
+            full_blocks.append(za.size)
+            return full_block(za, zb)
+
+        monkeypatch.setattr(numerics, "_full_block_hausdorff", counting)
+        cases = 0
+        for za, zb in self._cases():
+            got = symmetric_hausdorff(za, zb)
+            assert got == brute_hausdorff(za, zb)
+            xa, xb = (np.column_stack([z.real, z.imag]) for z in (za, zb))
+            reference = max(directed_hausdorff(xa, xb)[0], directed_hausdorff(xb, xa)[0])
+            assert math.isclose(got, reference, rel_tol=1e-12)
+            cases += 1
+        # both branches ran: the pruned scan and the full block
+        assert 0 < len(full_blocks) < cases

@@ -76,6 +76,8 @@ class TestPeriod:
             ("cos(3*theta/5)", 5),
             ("sin(2*theta)", 2),
             ("1", 2),
+            ("1/cos(theta)", 1),
+            ("tan(theta)", 2),
         ],
     )
     def test_examples(self, text, expected):
@@ -89,6 +91,11 @@ class TestPeriod:
 
     def test_aperiodic_returns_none(self):
         assert polar_period(PolarCurve("t/10"), max_multiple=8) is None
+
+    def test_nan_sample_raises(self):
+        # sqrt(cos) is undefined on (pi/2, 3pi/2): NaN is not a pole
+        with pytest.raises(EvalError):
+            polar_period(PolarCurve("sqrt(cos(theta))"))
 
     def test_degenerate_zero_curve(self):
         assert polar_period(PolarCurve("0")) == 1
