@@ -239,11 +239,16 @@ def _base_curve(args):
     return limacon(args.base_lambda)
 
 
+def _fmt_rows(columns, sep: str, end: str) -> str:
+    """Rows of the columns' values, each as _fmt gives it, in one string
+    formatting call: "%.12g" renders a float exactly as format(x, ".12g")."""
+    table = np.column_stack(columns)
+    row = sep.join(["%.12g"] * table.shape[1]) + end
+    return (row * table.shape[0]) % tuple(table.ravel().tolist())
+
+
 def _csv_trace(ts, points) -> str:
-    lines = ["t,x,y"]
-    for t, z in zip(ts, points):
-        lines.append(f"{_fmt(t)},{_fmt(z.real)},{_fmt(z.imag)}")
-    return "\n".join(lines) + "\n"
+    return "t,x,y\n" + _fmt_rows((ts, points.real, points.imag), ",", "\n")
 
 
 def _svg_document(polylines) -> str:
@@ -263,7 +268,7 @@ def _svg_document(polylines) -> str:
     ]
     for color, z in polylines:
         z = np.asarray(z)
-        pts = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in zip(z.real, z.imag))
+        pts = _fmt_rows((z.real, -z.imag), ",", " ")[:-1]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="{_fmt(width)}" points="{pts}"/>'
         )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -93,17 +94,29 @@ VARIABLE_NAMES = ("t", "theta")
 MAX_DEPTH = 100
 
 
+_UNSET = object()
+
+
 def _fold(node: Node) -> Node | None:
     """Value of an all-constant subtree, or None if it has free symbols.
 
     Singular or non-finite constants are left symbolic so the error surfaces
-    at evaluation time instead of during parsing.
+    at evaluation time instead of during parsing.  The answer is cached on
+    the node, so a subtree shared by many parents (derivatives share theirs)
+    is folded once instead of once per path to it.
     """
+    if isinstance(node, Const):
+        return node
+    if isinstance(node, (Var, Param)):
+        return None
+    folded = node.__dict__.get("_folded", _UNSET)
+    if folded is _UNSET:
+        folded = node.__dict__["_folded"] = _fold_children(node)
+    return folded
+
+
+def _fold_children(node: Node) -> Node | None:
     try:
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, (Var, Param)):
-            return None
         if isinstance(node, Neg):
             inner = _fold(node.arg)
             return Const(-inner.value) if inner is not None else None
@@ -114,8 +127,8 @@ def _fold(node: Node) -> Node | None:
             folded = Const(_apply_function(node.func, inner.value))
         else:
             left = _fold(node.left)
-            right = _fold(node.right)
-            if left is None or right is None:
+            right = _fold(node.right) if left is not None else None
+            if right is None:
                 return None
             folded = Const(_apply_binary(node.op, left.value, right.value))
     except EvalError:
@@ -135,38 +148,42 @@ def _contains(node: Node, kinds) -> bool:
 
 
 def neg(a: Node) -> Node:
-    folded = _fold(Neg(a))
+    node = Neg(a)
+    folded = _fold(node)
     if folded is not None:
         return folded
     if isinstance(a, Neg):
         return a.arg
-    return Neg(a)
+    return node
 
 
 def add(a: Node, b: Node) -> Node:
-    folded = _fold(BinOp("+", a, b))
+    node = BinOp("+", a, b)
+    folded = _fold(node)
     if folded is not None:
         return folded
     if a == Const(0.0):
         return b
     if b == Const(0.0):
         return a
-    return BinOp("+", a, b)
+    return node
 
 
 def sub(a: Node, b: Node) -> Node:
-    folded = _fold(BinOp("-", a, b))
+    node = BinOp("-", a, b)
+    folded = _fold(node)
     if folded is not None:
         return folded
     if b == Const(0.0):
         return a
     if a == Const(0.0):
         return neg(b)
-    return BinOp("-", a, b)
+    return node
 
 
 def mul(a: Node, b: Node) -> Node:
-    folded = _fold(BinOp("*", a, b))
+    node = BinOp("*", a, b)
+    folded = _fold(node)
     if folded is not None:
         return folded
     if a == Const(0.0) or b == Const(0.0):
@@ -175,18 +192,19 @@ def mul(a: Node, b: Node) -> Node:
         return b
     if b == Const(1.0):
         return a
-    return BinOp("*", a, b)
+    return node
 
 
 def div(a: Node, b: Node) -> Node:
-    folded = _fold(BinOp("/", a, b))
+    node = BinOp("/", a, b)
+    folded = _fold(node)
     if folded is not None:
         return folded
     if a == Const(0.0) and not (isinstance(b, Const) and b.value == 0.0):
         return Const(0.0)
     if b == Const(1.0):
         return a
-    return BinOp("/", a, b)
+    return node
 
 
 def pow_(a: Node, b: Node) -> Node:
@@ -195,15 +213,15 @@ def pow_(a: Node, b: Node) -> Node:
         if _contains(b, (Var, Param)):
             raise ExprError("exponent of '^' must reduce to a constant")
         raise ExprError("constant exponent of '^' overflows or is undefined")
-    b = exponent
-    folded = _fold(BinOp("^", a, b))
+    node = BinOp("^", a, exponent)
+    folded = _fold(node)
     if folded is not None:
         return folded
-    if b.value == 1.0:
+    if exponent.value == 1.0:
         return a
-    if b.value == 0.0:
+    if exponent.value == 0.0:
         return Const(1.0)
-    return BinOp("^", a, b)
+    return node
 
 
 def call(func: str, a: Node) -> Node:
@@ -518,15 +536,31 @@ def substitute_var(node: Node, replacement: Node) -> Node:
 
 
 def differentiate(node: Node) -> Node:
-    """Symbolic derivative with respect to the free variable."""
+    """Symbolic derivative with respect to the free variable.
+
+    Each node object is differentiated once, so the result shares its
+    subtrees wherever the input does (derivatives of derivatives are DAGs
+    far smaller than their trees)."""
+    return _derivative(node, {})
+
+
+def _derivative(node: Node, memo: dict[int, Node]) -> Node:
+    # Keyed by id: every node of the input stays alive for the whole call.
+    found = memo.get(id(node))
+    if found is None:
+        found = memo[id(node)] = _derivative_rule(node, memo)
+    return found
+
+
+def _derivative_rule(node: Node, memo: dict[int, Node]) -> Node:
     if isinstance(node, (Const, Param)):
         return Const(0.0)
     if isinstance(node, Var):
         return Const(1.0)
     if isinstance(node, Neg):
-        return neg(differentiate(node.arg))
+        return neg(_derivative(node.arg, memo))
     if isinstance(node, Call):
-        u, du = node.arg, differentiate(node.arg)
+        u, du = node.arg, _derivative(node.arg, memo)
         if node.func == "sin":
             return mul(call("cos", u), du)
         if node.func == "cos":
@@ -537,12 +571,12 @@ def differentiate(node: Node) -> Node:
             return div(du, mul(Const(2.0), call("sqrt", u)))
         raise DifferentiationError("abs(...) is not differentiable")
     u, v = node.left, node.right
-    du = differentiate(u)
+    du = _derivative(u, memo)
     if node.op == "^":
         # exponent is a constant by construction: d(u^c) = c * u^(c-1) * u'
         c = v.value
         return mul(mul(v, pow_(u, Const(c - 1.0))), du)
-    dv = differentiate(v)
+    dv = _derivative(v, memo)
     if node.op == "+":
         return add(du, dv)
     if node.op == "-":
@@ -554,25 +588,36 @@ def differentiate(node: Node) -> Node:
 
 @dataclass(frozen=True)
 class Program:
-    """Array evaluator of an expression: nested numpy closures, one per node.
+    """Array evaluator of one expression or of several.
 
     Calling it maps an array of variable values to a new float array of the
-    same shape.  Evaluation follows IEEE semantics (poles give inf/nan,
-    without warnings); callers that need strict error reporting use
-    `evaluate`, the scalar AST walk.
+    same shape, or, for a program compiled from a sequence of nodes, to a
+    tuple of such arrays, one per node; no result shares memory with the
+    input or with another result.  Evaluation follows IEEE semantics (poles
+    give inf/nan, without warnings); callers that need strict error
+    reporting use `evaluate`, the scalar AST walk.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray], object]
+    several: bool = False
 
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
+    def __call__(self, xs: np.ndarray):
         xs = np.asarray(xs, dtype=float)
         with np.errstate(all="ignore"):
             out = self.fn(xs)
-        # Only the expression `t` returns xs itself, and only a constant
-        # returns a scalar; every other result is already a fresh array.
-        if out is xs or np.ndim(out) == 0:
-            return np.full(xs.shape, out)
-        return out
+        if not self.several:
+            # Only the expression `t` returns xs itself, and only a constant
+            # returns a scalar; every other result is already a fresh array.
+            if out is xs or np.ndim(out) == 0:
+                return np.full(xs.shape, out)
+            return out
+        fresh = []
+        for value in out:
+            # a node listed twice, or shared by two outputs, is one array
+            if np.ndim(value) == 0 or any(value is seen for seen in (xs, *fresh)):
+                value = np.full(xs.shape, value)
+            fresh.append(value)
+        return tuple(fresh)
 
 
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "sqrt": np.sqrt, "abs": np.abs}
@@ -582,59 +627,170 @@ _UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "sqrt": np.sqrt, "abs": 
 _MAX_MULTIPLIED_EXPONENT = 64
 
 
-def compile_program(node: Node, params: dict[str, float] | None = None) -> Program:
-    """Bind the parameters as constants and build the array evaluator."""
-    return Program(_closure(node, params or {}))
+def compile_program(nodes, params: dict[str, float] | None = None) -> Program:
+    """Bind the parameters as constants and build the array evaluator.
 
-
-def _closure(node: Node, params: dict[str, float]):
-    """Function mapping xs to the node's values.
-
-    A subtree without the variable gives a numpy scalar.  Arithmetic on it
-    is exact, but a function or power of it is taken on an array of
-    xs.shape, because numpy's array loops and scalar path may round apart.
+    `nodes` is one AST, or a sequence of ASTs evaluated together.  Each
+    distinct subexpression is evaluated once per call, however many times
+    it occurs in them.
     """
-    if isinstance(node, Const):
-        value = np.float64(node.value)
-        return lambda xs: value
-    if isinstance(node, Param):
-        if node.name not in params:
-            raise EvalError(f"unbound parameter {node.name!r}")
-        value = np.float64(params[node.name])
-        return lambda xs: value
-    if isinstance(node, Var):
-        return lambda xs: xs
-    if isinstance(node, Neg):
-        arg = _closure(node.arg, params)
-        return lambda xs: -arg(xs)
-    if isinstance(node, BinOp) and node.op != "^":
-        left, right = _closure(node.left, params), _closure(node.right, params)
-        if node.op == "+":
-            return lambda xs: left(xs) + right(xs)
-        if node.op == "-":
-            return lambda xs: left(xs) - right(xs)
-        if node.op == "*":
-            return lambda xs: left(xs) * right(xs)
-        return lambda xs: left(xs) / right(xs)
-    operand = node.arg if isinstance(node, Call) else node.left
-    arg = _closure(operand, params)
-    if not _contains(operand, Var):
-        scalar = arg
-        arg = lambda xs: np.full(xs.shape, scalar(xs))
-    if isinstance(node, Call):
-        func = _UFUNCS[node.func]
-        return lambda xs: func(arg(xs))
-    exponent = node.right.value
-    if exponent != int(exponent) or abs(exponent) > _MAX_MULTIPLIED_EXPONENT:
-        exponent = np.float64(exponent)
-        return lambda xs: arg(xs) ** exponent
-    k = int(exponent)
+    several = isinstance(nodes, (list, tuple))
+    dag = _Dag(params or {})
+    roots = [dag.slot(node) for node in (nodes if several else [nodes])]
+    return Program(dag.evaluator(roots, several), several)
 
-    def power(xs):
-        base = arg(xs)
-        acc = np.ones(xs.shape)
-        for _ in range(abs(k)):
-            acc = acc * base
-        return 1.0 / acc if k < 0 else acc
 
-    return power
+class _Dag:
+    """The distinct subexpressions of some ASTs, numbered children first.
+
+    Structurally equal subtrees get one slot: each node is keyed by its
+    type, its operator, function, name or value, and its children's slots,
+    so no subtree is hashed twice, and node objects already seen are looked
+    up by identity.  A slot used by more than one parent (or output) is a
+    step: computed once per call, held until its last reader has run, then
+    released.  Every other slot is a nested closure inside its one user,
+    exactly as a tree without repeats compiles.
+    """
+
+    def __init__(self, params: dict[str, float]):
+        self.params = params
+        self.seen: dict[int, int] = {}   # id(node) -> slot; the roots keep nodes alive
+        self.index: dict[tuple, int] = {}
+        self.nodes: list[Node] = []
+        self.children: list[tuple[int, ...]] = []
+        self.has_var: list[bool] = []
+        self.step_of: dict[int, int] = {}  # step slot -> index of its held value
+        self.values: list = []             # held step values, one per step
+        self.unread: dict[int, int] = {}   # step slot -> readers not yet built
+
+    def slot(self, node: Node) -> int:
+        found = self.seen.get(id(node))
+        if found is not None:
+            return found
+        if isinstance(node, Const):
+            # 0.0 and -0.0 are different constants; NaN keys never match
+            children, key = (), (Const, node.value, math.copysign(1.0, node.value))
+        elif isinstance(node, Var):
+            children, key = (), (Var,)
+        elif isinstance(node, Param):
+            children, key = (), (Param, node.name)
+        elif isinstance(node, Neg):
+            children = (self.slot(node.arg),)
+            key = (Neg, *children)
+        elif isinstance(node, Call):
+            children = (self.slot(node.arg),)
+            key = (Call, node.func, *children)
+        else:
+            children = (self.slot(node.left), self.slot(node.right))
+            key = (BinOp, node.op, *children)
+        found = self.index.get(key)
+        if found is None:
+            found = self.index[key] = len(self.nodes)
+            self.nodes.append(node)
+            self.children.append(children)
+            self.has_var.append(isinstance(node, Var) or any(self.has_var[c] for c in children))
+        self.seen[id(node)] = found
+        return found
+
+    def evaluator(self, roots: list[int], several: bool):
+        uses = [0] * len(self.nodes)
+        for children in self.children:
+            for c in children:
+                uses[c] += 1
+        for r in roots:
+            uses[r] += 1
+        # Slots are numbered children first, so this order is topological.
+        steps = [s for s, n in enumerate(uses)
+                 if n > 1 and not isinstance(self.nodes[s], (Const, Var, Param))]
+        if not steps and not several:
+            return self._closure(roots[0])
+        # Closures are built in the order they run, so the reader built last
+        # for a step is the one that runs last, and it releases the value.
+        self.values = [None] * len(steps)
+        self.step_of = {s: i for i, s in enumerate(steps)}
+        self.unread = {s: uses[s] for s in steps}
+        compiled = [(i, self._closure(s, inline=True)) for i, s in enumerate(steps)]
+        outputs = [self._closure(r) for r in roots]
+        values = self.values
+        lock = threading.Lock()  # the step values are per program, not per call
+
+        def run(xs):
+            with lock:
+                try:
+                    for i, step in compiled:
+                        values[i] = step(xs)
+                    if not several:
+                        return outputs[0](xs)
+                    return tuple(out(xs) for out in outputs)
+                finally:
+                    values[:] = [None] * len(values)
+
+        return run
+
+    def _reader(self, s: int):
+        self.unread[s] -= 1
+        values, i = self.values, self.step_of[s]
+        if self.unread[s]:
+            return lambda xs: values[i]
+
+        def last_read(xs):
+            value = values[i]
+            values[i] = None
+            return value
+
+        return last_read
+
+    def _closure(self, s: int, inline: bool = False):
+        """Function mapping xs to the slot's values.
+
+        A subtree without the variable gives a numpy scalar.  Arithmetic on
+        it is exact, but a function or power of it is taken on an array of
+        xs.shape, because numpy's array loops and scalar path may round apart.
+        """
+        if not inline and s in self.step_of:
+            return self._reader(s)
+        node = self.nodes[s]
+        if isinstance(node, Const):
+            value = np.float64(node.value)
+            return lambda xs: value
+        if isinstance(node, Param):
+            if node.name not in self.params:
+                raise EvalError(f"unbound parameter {node.name!r}")
+            value = np.float64(self.params[node.name])
+            return lambda xs: value
+        if isinstance(node, Var):
+            return lambda xs: xs
+        children = self.children[s]
+        if isinstance(node, Neg):
+            arg = self._closure(children[0])
+            return lambda xs: -arg(xs)
+        if isinstance(node, BinOp) and node.op != "^":
+            left, right = self._closure(children[0]), self._closure(children[1])
+            if node.op == "+":
+                return lambda xs: left(xs) + right(xs)
+            if node.op == "-":
+                return lambda xs: left(xs) - right(xs)
+            if node.op == "*":
+                return lambda xs: left(xs) * right(xs)
+            return lambda xs: left(xs) / right(xs)
+        arg = self._closure(children[0])
+        if not self.has_var[children[0]]:
+            scalar = arg
+            arg = lambda xs: np.full(xs.shape, scalar(xs))
+        if isinstance(node, Call):
+            func = _UFUNCS[node.func]
+            return lambda xs: func(arg(xs))
+        exponent = node.right.value
+        if exponent != int(exponent) or abs(exponent) > _MAX_MULTIPLIED_EXPONENT:
+            exponent = np.float64(exponent)
+            return lambda xs: arg(xs) ** exponent
+        k = int(exponent)
+
+        def power(xs):
+            base = arg(xs)
+            acc = np.ones(xs.shape)
+            for _ in range(abs(k)):
+                acc = acc * base
+            return 1.0 / acc if k < 0 else acc
+
+        return power

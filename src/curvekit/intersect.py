@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import find_roots, symmetric_hausdorff
+from .numerics import POLE_MAGNITUDE, find_roots, symmetric_hausdorff
 from .polar import PolarCurve
 
 ZERO_RADIUS_TOL = 1e-9
@@ -58,10 +58,13 @@ class IntersectionResult:
 
 
 def graph_points(curve: PolarCurve, samples: int = _GRAPH_SAMPLES) -> np.ndarray:
-    """Dense sample of the full polar graph (over one period window)."""
+    """Dense sample of the full polar graph (over one period window),
+    without the samples that fall on a pole."""
     a, b = curve.period_window()
     thetas = np.linspace(a, b, samples, endpoint=False)
-    return curve.points_many(thetas)
+    with np.errstate(invalid="ignore"):
+        points = curve.points_many(thetas)
+    return points[np.isfinite(points)]
 
 
 def origin_on_curve(curve: PolarCurve, window: tuple[float, float] | None = None) -> float | None:
@@ -104,11 +107,14 @@ def intersections(c1: PolarCurve, c2: PolarCurve) -> IntersectionResult:
             sign = -1.0 if opposite else 1.0
 
             def equation(th, _shift=shift, _sign=sign):
-                return c1.eval_many(th) - _sign * c2.eval_many(th + _shift)
+                with np.errstate(invalid="ignore"):  # inf - inf at common poles
+                    return c1.eval_many(th) - _sign * c2.eval_many(th + _shift)
 
             for theta in find_roots(equation, 0.0, window, right_open=True):
                 r1 = c1.eval(theta)
-                if abs(r1) < ZERO_RADIUS_TOL:
+                # the origin is tested apart; a root on a pole of both curves
+                # (inf - inf cancelling to 0) is no point
+                if not ZERO_RADIUS_TOL <= abs(r1) < POLE_MAGNITUDE:
                     continue
                 theta2 = theta + shift
                 point = r1 * cmath.exp(1j * theta)

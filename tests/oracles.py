@@ -12,6 +12,12 @@
 - brute_hausdorff is the plain reference for numerics.symmetric_hausdorff:
   every point pair in chunks of 1,024 rows, each distance np.abs of a complex
   difference, so the pruned scan must match it bit for bit.
+- tree_program is the plain reference for expr.compile_program: one nested
+  closure per tree node, nothing shared, so a subexpression is computed
+  again wherever it occurs; shared programs must match it bit for bit.
+- one_shot_trace is the plain reference for roulette.trace: every Gauss
+  node of every sample gap in one array, speeds np.abs(dx + 1j*dy) from
+  tree_program evaluators, so the blocked trace must match it bit for bit.
 """
 
 import math
@@ -21,15 +27,19 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from curvekit.expr import BinOp, Call, Const, Neg, Param, Var
 from curvekit.numerics import (
     DEDUPE_FACTOR,
     DEFAULT_GRID_PER_TWO_PI,
     DEFAULT_TOL,
+    G7_NODES,
+    G7_WEIGHTS,
     POLE_MAGNITUDE,
     RESIDUAL_GATE,
     TANGENTIAL_GATE,
     TANGENTIAL_PREFILTER,
 )
+from curvekit.roulette import REGULARITY_TOL, RegularityError, _assemble, arc_length
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,3 +227,90 @@ def brute_hausdorff(za, zb):
         d_ab = max(d_ab, float(block.min(axis=1).max()))
         np.minimum(mins_b, block.min(axis=0), out=mins_b)
     return max(d_ab, float(mins_b.max()))
+
+
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "sqrt": np.sqrt, "abs": np.abs}
+
+
+def _has_var(node):
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, (Const, Param)):
+        return False
+    if isinstance(node, (Neg, Call)):
+        return _has_var(node.arg)
+    return _has_var(node.left) or _has_var(node.right)
+
+
+def _tree_closure(node, params):
+    if isinstance(node, Const):
+        value = np.float64(node.value)
+        return lambda xs: value
+    if isinstance(node, Param):
+        value = np.float64(params[node.name])
+        return lambda xs: value
+    if isinstance(node, Var):
+        return lambda xs: xs
+    if isinstance(node, Neg):
+        arg = _tree_closure(node.arg, params)
+        return lambda xs: -arg(xs)
+    if isinstance(node, BinOp) and node.op != "^":
+        left, right = _tree_closure(node.left, params), _tree_closure(node.right, params)
+        return {
+            "+": lambda xs: left(xs) + right(xs),
+            "-": lambda xs: left(xs) - right(xs),
+            "*": lambda xs: left(xs) * right(xs),
+            "/": lambda xs: left(xs) / right(xs),
+        }[node.op]
+    operand = node.arg if isinstance(node, Call) else node.left
+    arg = _tree_closure(operand, params)
+    if not _has_var(operand):
+        scalar = arg
+        arg = lambda xs: np.full(xs.shape, scalar(xs))  # noqa: E731
+    if isinstance(node, Call):
+        func = _UFUNCS[node.func]
+        return lambda xs: func(arg(xs))
+    exponent = node.right.value
+    if exponent != int(exponent) or abs(exponent) > 64:
+        return lambda xs: arg(xs) ** np.float64(exponent)
+    k = int(exponent)
+
+    def power(xs):
+        base = arg(xs)
+        acc = np.ones(xs.shape)
+        for _ in range(abs(k)):
+            acc = acc * base
+        return 1.0 / acc if k < 0 else acc
+
+    return power
+
+
+def tree_program(node, params=None):
+    """Array evaluator of one AST: a fresh float array of xs.shape."""
+    fn = _tree_closure(node, params or {})
+
+    def program(xs):
+        xs = np.asarray(xs, dtype=float)
+        with np.errstate(all="ignore"):
+            out = fn(xs)
+        return np.full(xs.shape, out) if out is xs or np.ndim(out) == 0 else out
+
+    return program
+
+
+def one_shot_trace(curve, cfg, t_from, t_to, samples):
+    """roulette.trace for a regular curve, all Gauss nodes in one array."""
+    x, y, dx, dy = (tree_program(node, curve.params) for node in (curve.x, curve.y, curve.dx, curve.dy))
+    ts = np.linspace(t_from, t_to, int(samples))
+    half = 0.5 * (ts[1] - ts[0])
+    nodes = ((ts[:-1] + half)[:, None] + half * G7_NODES).ravel()
+    speeds = np.abs(dx(nodes) + 1j * dy(nodes)).reshape(-1, G7_NODES.size)
+    velocity = dx(ts) + 1j * dy(ts)
+    speed = np.abs(velocity)
+    if min(float(np.min(speeds)), float(np.min(speed))) <= REGULARITY_TOL:
+        raise RegularityError("tangent vector vanishes on the trace range")
+    s = np.empty(ts.shape)
+    s[0] = arc_length(curve, cfg.t0, float(ts[0]))
+    s[1:] = s[0] + np.cumsum(speeds @ (half * G7_WEIGHTS))
+    alpha = x(ts) + 1j * y(ts)
+    return _assemble(cfg, alpha, velocity / speed, s / cfg.radius)[3]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -8,9 +9,10 @@ import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from curvekit.cli import main
+from curvekit.cli import _csv_trace, _fmt, _fmt_rows, main
 from curvekit.roulette import cycloid_point
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,6 +68,23 @@ class TestIntersectCommand:
         assert code == 0
         points = json.loads(out)["points"]
         assert [(p["x"], p["y"]) for p in points] == [(1.0, 0.0)]
+
+    def test_pole_at_the_window_start(self):
+        # y = 1 and y = 2: both radii are infinite at theta = 0, where every
+        # root window starts
+        result = run_subprocess(["intersect", "--c1", "1/sin(theta)", "--c2", "2/sin(theta)"])
+        assert result.returncode == 0
+        assert result.stderr == b""
+        payload = json.loads(result.stdout)
+        assert payload["origin"] is False
+        assert payload["points"] == []
+
+    def test_line_with_a_pole_at_the_window_start_touches_circle(self):
+        code, out = run_inprocess(["intersect", "--c1", "1/sin(theta)", "--c2", "1"])
+        assert code == 0
+        points = json.loads(out)["points"]
+        assert len(points) == 1
+        assert (points[0]["x"], points[0]["y"]) == pytest.approx((0.0, 1.0), abs=1e-12)
 
     def test_identical_curves_exit_two(self):
         result = run_subprocess(["intersect", "--c1", "cos(theta)", "--c2", "cos(theta)"])
@@ -265,3 +284,86 @@ class TestDeterminism:
             second = run_subprocess(argv)
             assert first.returncode == 0
             assert first.stdout == second.stdout
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e16, -1e16, 1e-5, 123456789012.5,
+                  math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0, -2.0 ** 0.5]
+
+
+class TestBulkFormatting:
+    def test_rows_match_fmt_on_special_values(self):
+        values = np.array(SPECIAL_VALUES)
+        rows = _fmt_rows((values, -values[::-1]), ",", "\n")
+        expected = "".join(f"{_fmt(a)},{_fmt(b)}\n" for a, b in zip(values, -values[::-1]))
+        assert rows == expected
+
+    def test_rows_match_fmt_on_random_values(self):
+        rng = np.random.default_rng(4242)
+        values = rng.uniform(-10.0, 10.0, 99_999) * 10.0 ** rng.integers(-300, 301, 99_999)
+        columns = values.reshape(3, -1)
+        expected = "".join(" ".join(_fmt(v) for v in row) + ";" for row in columns.T)
+        assert _fmt_rows(tuple(columns), " ", ";") == expected
+
+    def test_csv_matches_fmt_per_value(self):
+        ts = np.array(SPECIAL_VALUES)
+        points = np.empty(ts.shape, dtype=complex)
+        points.real, points.imag = ts[::-1], ts
+        expected = "t,x,y\n" + "".join(
+            f"{_fmt(t)},{_fmt(z.real)},{_fmt(z.imag)}\n" for t, z in zip(ts, points)
+        )
+        assert _csv_trace(ts, points) == expected
+
+
+class TestRouletteBytes:
+    """sha256 of roulette stdout at 3,000 samples, recorded from per-value
+    formatting and a one-shot trace: the output bytes must not move."""
+
+    BASES = {"line": [], "circle": ["--R", "3"], "ellipse": ["--a", "3", "--b", "2"],
+             "limacon": ["--lambda", "2"]}
+    VARIANTS = {"plain": [], "k": ["--k", "0.5"], "antinormal": ["--side", "antinormal"],
+                "reverse": ["--reverse"]}
+    DIGESTS = {
+    ("line", "csv", "plain"): "6ed6075162ef3dde7a1cbcf8441e2d66f56885c46bf0a6c8239e1a02acf45046",
+    ("line", "csv", "k"): "a777755fa50374c61ca516b8d9d8ff38cd25f00cd3ef69a18ba8edccf0719119",
+    ("line", "csv", "antinormal"): "48d266116c5992543b7f1e91c264dc924279b1917bfbed4be2daf717df11cbb0",
+    ("line", "csv", "reverse"): "bf211c022130a7bdb21d78347994cd203678a78d4a90a20c8b6c136bde15fe95",
+    ("line", "svg", "plain"): "d32807f230c6bdd43db9a4e98c3d5a2fecd17a9eb5a1e601bc154426cc01d12a",
+    ("line", "svg", "k"): "ab1a27ea08bd22ff55f98c213aadebd00f610f1fa7421859eef972b2728c50ef",
+    ("line", "svg", "antinormal"): "9a31367946113f34e827b3cc3f6d6404214d26c15bfc2ac2048227ccc5e0973c",
+    ("line", "svg", "reverse"): "37a53b99f01952b520f6022a3d1683fc9692b5938d72863f0f37b9ffcd9b4113",
+    ("circle", "csv", "plain"): "9acec2bb4ab3a8210c5814a1999b2e80be46a144ce97e62e46ede2dce086aaf2",
+    ("circle", "csv", "k"): "22483f2c4e4ed74404e4cc629811ef5f4ffc21dece182a7e6abaf56ab237137d",
+    ("circle", "csv", "antinormal"): "4c82da1ab2eb6da4319ca35db88562961eea2ca1ddb4b7c50f5f349bf03e5a1b",
+    ("circle", "csv", "reverse"): "452432a763a7cc41d6c2b3a86efefe89507e321f2887e35617c95c8434028e71",
+    ("circle", "svg", "plain"): "d243acf6d3018cf33d73277f68c07f4845cfec040a49e8230a1fca9dd207f754",
+    ("circle", "svg", "k"): "355273aa01dc7617a63f107742449603013c844dcd1fdc99855357c0e259aaf6",
+    ("circle", "svg", "antinormal"): "133d418a449ea050a44fc47acb3bf74e0c22558d6dc396dc988b450fa4420614",
+    ("circle", "svg", "reverse"): "dcc9e871aa90764f1a1c9b4e32203269f93f96a0dcd9878fab480dbf464c20a9",
+    ("ellipse", "csv", "plain"): "ebd42863bfadb8066cfa8d8effb81baf4b69ad37e70cafebe70d09567ef633e0",
+    ("ellipse", "csv", "k"): "2a4371d212fdf702fd1edab863c38658ea411ffcc7e28a8e57e4ce5cf225494b",
+    ("ellipse", "csv", "antinormal"): "c15a6f6dbd5b84bbfcc316a39c68fe1c43cded12aa16436c8ceb9bb0e75e2cf8",
+    ("ellipse", "csv", "reverse"): "d3491b92c6c247b0464a40cef56c9369d10536ca3be6866a4529b97398248268",
+    ("ellipse", "svg", "plain"): "1a7b3ec5efc2f66eeee23b4569b6e3639cbd5fc74f8dbf1f10f0c534af5363f7",
+    ("ellipse", "svg", "k"): "12361a1ae3798872f4bfd027b962605fe670db63df7c509b937d03c00786e6f0",
+    ("ellipse", "svg", "antinormal"): "467fa06bc9a77b98517bfb8153048302bf1576ec630837c34adff102f2a6f6c6",
+    ("ellipse", "svg", "reverse"): "f27eb07096e9a6d812ce2c643c93683ea0cfb83d7c55bb6520334dd61a6b85f2",
+    ("limacon", "csv", "plain"): "c458b15e6b1ce64d63d91feae23cae3e84e434f2c1322cb2b3c15e085a72153d",
+    ("limacon", "csv", "k"): "c0d01db2cc0c16408f028fee737e5572b29d0bee22bd683e58ed1b4cf1bd8dfe",
+    ("limacon", "csv", "antinormal"): "33d5290c8fabed0bd7a86cfebe09b1528108def5b60a9a23ea253094521872d4",
+    ("limacon", "csv", "reverse"): "f0ca65e53f7c0f5d97660451aa6a1f931a22945a235cd3f1e81def6592b671a8",
+    ("limacon", "svg", "plain"): "18627d8d0cf5a9af55b509ad95c5aac0dcdab8d1d0c6ceb52d0b0f754b398718",
+    ("limacon", "svg", "k"): "78d8c11089d0a6f4c809790c2062a02a7312e8df88865589243c5c957b8e3ccb",
+    ("limacon", "svg", "antinormal"): "8c524a9b04aedd0d0a565a57909c3f4ed6f5ceb522df4b34c47c22e2d8cff7a8",
+    ("limacon", "svg", "reverse"): "228132615fb6aecb6535b86f9dd3e1025e929ef6946e2eb4fdf013880e2c3c77",
+    }
+
+    @pytest.mark.parametrize("base", sorted(BASES))
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_stdout_digest(self, base, fmt):
+        for name, variant in self.VARIANTS.items():
+            argv = ["roulette", "--base", base, *self.BASES[base], "--radius", "0.7",
+                    "--samples", "3000", "--format", fmt, *variant]
+            code, out = run_inprocess(argv)
+            assert code == 0
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == self.DIGESTS[base, fmt, name], (base, fmt, name)

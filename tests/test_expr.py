@@ -1,8 +1,13 @@
+import hashlib
 import math
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from curvekit import expr
 from curvekit.expr import (
     MAX_DEPTH,
     BinOp,
@@ -12,6 +17,7 @@ from curvekit.expr import (
     EvalError,
     ExprError,
     ExprSyntaxError,
+    Neg,
     Param,
     Var,
     _evaluate,
@@ -24,6 +30,7 @@ from curvekit.expr import (
     to_string,
 )
 from helpers import random_ast, random_smooth_ast
+from oracles import tree_program
 
 
 class TestParse:
@@ -115,6 +122,36 @@ class TestParse:
             d2 = differentiate(differentiate(ast))
             assert parse(to_string(ast)) == ast
             assert np.isfinite(compile_program(d2)(np.array([0.3]))[0])
+
+
+    def test_derivatives_share_subtrees(self):
+        # as a tree the second derivative has 363,696 nodes
+        d2 = differentiate(differentiate(parse("sin(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH)))
+        seen, stack = set(), [d2]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(getattr(node, field) for field in ("arg", "left", "right")
+                             if hasattr(node, field))
+        assert len(seen) < 1500
+
+    def test_constructed_text_is_unchanged(self):
+        # sha256 of the printed forms below, recorded from unmemoized
+        # folding and differentiation
+        rng = np.random.default_rng(2718)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            ast = random_smooth_ast(rng, depth=4)
+            d1 = differentiate(ast)
+            for node in (ast, d1, differentiate(d1), substitute_var(ast, parse("t - pi"))):
+                digest.update(to_string(node).encode() + b"\n")
+            try:
+                text = to_string(parse(to_string(random_ast(rng))))
+            except ExprError:
+                text = "error"
+            digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == "e931a8a35b5598954efeab3e9950a118921c4668abf9ab9680722fea3064c0e9"
 
 
 class TestEvaluate:
@@ -278,6 +315,108 @@ class TestPrograms:
                 assert np.allclose(fast[finite], slow[finite], rtol=1e-12, atol=1e-12)
                 checked += 1
         assert checked == 40
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestSharedPrograms:
+    XS = np.concatenate([np.linspace(-6.0, 6.0, 1001), [np.inf, -np.inf, np.nan, 0.0, -0.0]])
+    PARAMS = {"lambda": 2.0, "R": 3.0, "a": 1.5, "b": -0.0}
+
+    def check(self, nodes, params):
+        xs = self.XS.copy()
+        outs = compile_program(nodes, params)(xs)
+        assert isinstance(outs, tuple) and len(outs) == len(nodes)
+        for node, out in zip(nodes, outs):
+            assert same_bits(out, tree_program(node, params)(xs))
+            assert not np.shares_memory(out, xs)
+        for i in range(len(outs)):
+            for j in range(i):
+                assert not np.shares_memory(outs[i], outs[j])
+        assert same_bits(xs, self.XS)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_tree_evaluation_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(150):
+            a, b = random_ast(rng), random_ast(rng)
+            # repeats across and within outputs, and the same node twice
+            shared = [a, b, BinOp("*", a, b), Call("sin", a),
+                      BinOp("-", BinOp("+", a, b), Neg(a)), BinOp("/", b, b), a]
+            self.check(shared, self.PARAMS)
+            xs = self.XS.copy()
+            for node in shared[2:6]:
+                assert same_bits(compile_program(node, self.PARAMS)(xs),
+                                 tree_program(node, self.PARAMS)(xs))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_derivatives_match_tree_evaluation(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            ast = random_smooth_ast(rng, depth=4)
+            d1 = differentiate(ast)
+            self.check([ast, d1, differentiate(d1)], {})
+
+    def test_constant_and_variable_outputs(self):
+        # 0 and -0 are different constants: t/0 and t/-0 differ in sign
+        self.check([Var(), Const(2.5), Var(), parse("sin(a)"), Const(-0.0),
+                    BinOp("/", Var(), Const(0.0)), BinOp("/", Var(), Const(-0.0))], {"a": 0.5})
+
+    def test_limacon_velocity_takes_one_sine_and_one_cosine(self, monkeypatch):
+        # evaluated as trees, dx and dy hold 8 trigonometric calls
+        calls = Counter()
+
+        def counted(name, func):
+            return lambda x: (calls.update([name]), func(x))[1]
+
+        for name, func in list(expr._UFUNCS.items()):
+            monkeypatch.setitem(expr._UFUNCS, name, counted(name, func))
+        x, y = parse("(1 + lambda*cos(t))*cos(t)"), parse("(1 + lambda*cos(t))*sin(t)")
+        dx, dy = differentiate(x), differentiate(y)
+        params = {"lambda": 2.0}
+        velocity = compile_program([dx, dy], params)(self.XS)
+        assert calls == Counter(sin=1, cos=1)
+        calls.clear()
+        compile_program([x, y, dx, dy], params)(self.XS)
+        assert calls == Counter(sin=1, cos=1)
+        calls.clear()
+        assert same_bits(velocity[0], compile_program(dx, params)(self.XS))
+        assert calls == Counter(sin=1, cos=1)  # a single output shares its own repeats
+
+
+    def test_threads_sharing_a_program_get_their_own_results(self):
+        # steps hold their values in the program between reads; four threads
+        # (more than the cores here) call one program with different inputs
+        x, y = parse("(1 + lambda*cos(t))*cos(t)"), parse("(1 + lambda*cos(t))*sin(t)")
+        nodes = [x, y, differentiate(x), differentiate(y)]
+        program = compile_program(nodes, {"lambda": 2.0})
+        inputs = [np.linspace(k, k + 6.0, 20_000) for k in range(4)]
+        expected = [program(xs) for xs in inputs]
+        wrong = []
+
+        def worker(k):
+            for _ in range(100):
+                try:
+                    outs = program(inputs[k])
+                except TypeError:  # a value released by another thread's call
+                    outs = ()
+                if len(outs) != 4 or not all(map(same_bits, outs, expected[k])):
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestSubstitution:

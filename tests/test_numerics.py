@@ -72,10 +72,15 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             find_roots(lambda th: th, 1.0, 1.0)
 
-    def test_non_finite_endpoint(self):
+    def test_non_finite_endpoint_is_a_pole(self):
+        # a pole at either end of the window breaks the grid there, as inside
         with np.errstate(divide="ignore"):
-            with pytest.raises(ValueError, match="endpoint"):
-                find_roots(lambda th: 1.0 / th, 0.0, 1.0)
+            assert len(find_roots(lambda th: 1.0 / th, 0.0, 1.0)) == 0
+            assert len(find_roots(lambda th: 1.0 / (1.0 - th), 0.0, 1.0)) == 0
+            roots = find_roots(lambda th: 1.0 / np.sin(th) - 2.0, 0.0, math.pi)
+            both = find_roots(lambda th: 1.0 / np.sin(th) - 2.0, 0.0, TWO_PI)
+        assert np.allclose(roots.roots, [math.pi / 6, 5 * math.pi / 6], atol=1e-12)
+        assert roots.roots == both.roots
 
     def test_returns_rootlist(self):
         roots = find_roots(lambda th: np.cos(th), 0.0, math.pi)
@@ -195,6 +200,13 @@ class TestHausdorff:
         a = np.array([0j, 1.0 + 0j])
         b = np.array([0j, 1.5 + 0j])
         assert symmetric_hausdorff(a, b) == pytest.approx(0.5)
+
+    def test_graph_samples_on_a_pole_are_left_out(self):
+        # 1/sin(theta) is the line y = 1; its sample at theta = 0 is inf + nan*i
+        with np.errstate(all="raise"):
+            points = graph_points(PolarCurve("1/sin(theta)"))
+        assert points.size == 1023 and np.all(np.isfinite(points))
+        assert np.allclose(points.imag, 1.0, atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

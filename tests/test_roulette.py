@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.integrate
 import scipy.special
 
 from curvekit.roulette import (
+    _TRACE_BLOCK,
     ParamCurve,
     RegularityError,
     RollConfig,
@@ -20,6 +22,7 @@ from curvekit.roulette import (
     roll_state,
     trace,
 )
+from oracles import one_shot_trace
 
 TWO_PI = 2.0 * math.pi
 
@@ -206,6 +209,12 @@ class TestTrace:
         with pytest.raises(RegularityError):
             trace(base, RollConfig(1.0), -1.0, 1.0, 3)
 
+    @pytest.mark.parametrize("samples", [3, 2])  # the bad tangent on a sample, then a node
+    def test_non_finite_tangent_raises(self, samples):
+        base = ParamCurve("t", "sqrt(t^2 - 1e-8)", domain=(-1.0, 1.0))  # y' = nan near 0
+        with pytest.raises(RegularityError, match="not finite"):
+            trace(base, RollConfig(1.0, t0=-1.0), -1.0, 1.0, samples)
+
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             trace(line(), RollConfig(1.0), 0.0, 1.0, 1)
@@ -301,3 +310,27 @@ class TestRollingInvariants:
         a = trace(slow, cfg, 0.0, TWO_PI, 300)
         b = trace(fast, cfg, 0.0, math.pi, 300)
         assert np.max(np.abs(a - b)) < 1e-7
+
+
+class TestBlockedTrace:
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_matches_one_shot_reference(self, name):
+        base = BASES[name]()
+        cfg = RollConfig(0.7, side="antinormal", k=0.5, t0=0.2)
+        t_to = min(base.domain[1], TWO_PI)
+        for samples in (2, 3, _TRACE_BLOCK - 1, _TRACE_BLOCK, _TRACE_BLOCK + 1,
+                        _TRACE_BLOCK + 2, 200_000):
+            got = trace(base, cfg, 0.1, t_to, samples)
+            want = one_shot_trace(base, cfg, 0.1, t_to, samples)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), samples
+
+    def test_memory_stays_bounded(self):
+        base, cfg = limacon(2.0), RollConfig(0.5)
+        trace(base, cfg, 0.0, TWO_PI, 100)  # compile the programs outside the measurement
+        tracemalloc.start()
+        try:
+            trace(base, cfg, 0.0, TWO_PI, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6  # all Gauss nodes at once peak at 57.7 MB
