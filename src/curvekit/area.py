@@ -150,10 +150,6 @@ class LimaconAnalysis:
     contained: bool           # small loop entirely inside the large loop
     theta1: float | None      # boundary-crossing angle when not contained
 
-    @property
-    def crossing_in_sector(self) -> float | None:
-        return None if self.theta1 is None else self.theta1 + TWO_PI
-
 
 def limacon_analysis(lam: float) -> LimaconAnalysis:
     """Loop regions and containment for shape parameter lam > 1.

@@ -1,13 +1,12 @@
 """Intersection points of two polar curves.
 
-Nonzero common points of r = f(theta) and r = g(theta) satisfy one of the two
-scalar equation families
+Nonzero common points of r = f(theta) and r = g(theta) satisfy, by the
+equality rule, one of the scalar equation families
 
-    f(theta) = g(theta + 2*n*pi)          (same ray)
-    f(theta) = -g(theta + pi + 2*n*pi)    (opposite ray)
+    f(theta) = (-1)^m g(theta + m*pi)     (same ray for even m, opposite for odd)
 
-with theta swept over a window long enough to trace both graphs and n over
-the distinct 2*pi-offsets of the second curve's period.  The origin carries
+with theta swept over a window long enough to trace both graphs and m over
+the distinct pi-offsets of the second curve's period.  The origin carries
 no angle and is tested separately: it is common exactly when each radius
 function vanishes somewhere.
 """
@@ -73,8 +72,8 @@ def origin_on_curve(curve: PolarCurve, window: tuple[float, float] | None = None
         n = curve.period_multiple_of_pi()
         window = (0.0, n * math.pi) if n is not None else curve.domain
     roots = find_roots(curve.eval_many, window[0], window[1])
-    for theta in roots:
-        if abs(curve.eval(theta)) < ZERO_RADIUS_TOL:
+    for theta, residual in zip(roots.roots, roots.residuals):
+        if residual < ZERO_RADIUS_TOL:
             return float(theta)
     return None
 
@@ -98,28 +97,24 @@ def intersections(c1: PolarCurve, c2: PolarCurve) -> IntersectionResult:
         )
 
     window = math.pi * math.lcm(n1, n2, 2)
-    offsets = range(0, (n2 + 1) // 2)
-
     candidates: list[IntersectionPoint] = []
-    for n in offsets:
-        for opposite in (False, True):
-            shift = (2 * n + 1) * math.pi if opposite else 2 * n * math.pi
-            sign = -1.0 if opposite else 1.0
+    for m in range(2 * ((n2 + 1) // 2)):
+        shift = m * math.pi
 
-            def equation(th, _shift=shift, _sign=sign):
-                with np.errstate(invalid="ignore"):  # inf - inf at common poles
-                    return c1.eval_many(th) - _sign * c2.eval_many(th + _shift)
+        def equation(th):
+            with np.errstate(invalid="ignore"):  # inf - inf at common poles
+                return c1.eval_many(th) - (-1.0) ** m * c2.eval_many(th + shift)
 
-            for theta in find_roots(equation, 0.0, window, right_open=True):
-                r1 = c1.eval(theta)
-                # the origin is tested apart; a root on a pole of both curves
-                # (inf - inf cancelling to 0) is no point
-                if not ZERO_RADIUS_TOL <= abs(r1) < POLE_MAGNITUDE:
-                    continue
-                theta2 = theta + shift
-                point = r1 * cmath.exp(1j * theta)
-                residual = abs(c2.eval(theta2) * cmath.exp(1j * theta2) - point)
-                candidates.append(IntersectionPoint(point, float(theta), float(theta2), residual))
+        theta1 = np.array(find_roots(equation, 0.0, window, right_open=True).roots)
+        r1 = c1.eval_many(theta1)
+        # the origin is tested apart, and a root on a pole of c1 is no point
+        keep = (np.abs(r1) >= ZERO_RADIUS_TOL) & (np.abs(r1) < POLE_MAGNITUDE)
+        theta1, r1 = theta1[keep], r1[keep]
+        theta2 = theta1 + shift
+        points = r1 * np.exp(1j * theta1)
+        residuals = np.abs(c2.points_many(theta2) - points)
+        candidates.extend(map(IntersectionPoint, points.tolist(), theta1.tolist(),
+                              theta2.tolist(), residuals.tolist()))
 
     # Points are ordered by angle and radius; each group of near-duplicates
     # is represented by its member with the smallest witness angles, so the

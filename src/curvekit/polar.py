@@ -20,10 +20,9 @@ from .numerics import POLE_MAGNITUDE, find_roots, symmetric_hausdorff
 
 TWO_PI = 2.0 * math.pi
 
-PERIOD_SAMPLES = 512
-PERIOD_TOL = 1e-9
-SYMMETRY_SAMPLES = 512
-SYMMETRY_TOL = 1e-9
+# Equality-rule sweeps: samples, and agreement relative to max(1, |f|).
+RULE_SAMPLES = 512
+RULE_TOL = 1e-9
 PIECE_SAMPLES = 256
 PIECE_MATCH_TOL = 1e-6
 
@@ -114,30 +113,16 @@ class PolarCurve:
 
     def period_multiple_of_pi(self, max_multiple: int = 64) -> int | None:
         """Smallest N <= max_multiple with f(theta) = (-1)^N f(theta + N*pi)
-        on a sample sweep, i.e. the polar graph repeats after N*pi.
-
-        Samples at or beyond POLE_MAGNITUDE on either side are poles, as in
-        find_roots, and are left out; the rest must agree to PERIOD_TOL
-        relative to their size.  NaN samples, or no sample left, raise
-        EvalError."""
+        by `_rule_misses` on [0, N*pi): the polar graph repeats after N*pi."""
         if self._period is not None:
             return self._period if self._period <= max_multiple else None
         if self._period_searched >= max_multiple:
             return None
         for n in range(self._period_searched + 1, max_multiple + 1):
-            thetas = np.linspace(0.0, n * math.pi, PERIOD_SAMPLES, endpoint=False)
-            lhs = self.eval_many(thetas)
-            rhs = self.eval_many(thetas + n * math.pi)
-            if n % 2 == 1:
-                rhs = -rhs
-            if np.isnan(lhs).any() or np.isnan(rhs).any():
-                raise _expr.EvalError("curve evaluation failed during period scan")
-            kept = (np.abs(lhs) < POLE_MAGNITUDE) & (np.abs(rhs) < POLE_MAGNITUDE)
-            if not kept.any():
-                raise _expr.EvalError("curve is at a pole at every sample of the period scan")
+            thetas = np.linspace(0.0, n * math.pi, RULE_SAMPLES, endpoint=False)
+            missed = _rule_misses(self, thetas, thetas, (n,))
             self._period_searched = n
-            lhs, rhs = lhs[kept], rhs[kept]
-            if np.all(np.abs(lhs - rhs) < PERIOD_TOL * np.maximum(1.0, np.abs(lhs))):
+            if not missed.any():
                 self._period = n
                 return n
         return None
@@ -153,6 +138,35 @@ def polar_period(curve: PolarCurve, max_multiple: int = 64) -> int | None:
     return curve.period_multiple_of_pi(max_multiple)
 
 
+def _rule_misses(curve: PolarCurve, thetas, base, ns) -> np.ndarray:
+    """Mask of the samples where f(theta) = (-1)^n f(base + n*pi) fails for
+    every n in ns (the equality rule), searched until all match.  Poles
+    (|f| >= POLE_MAGNITUDE either side) are left out, the rest must agree to
+    RULE_TOL * max(1, |f(theta)|), and NaN raises EvalError naming its angle."""
+
+    def defined(angles):
+        values = curve.eval_many(angles)
+        if np.isnan(values).any():
+            theta = angles[np.isnan(values)][0]
+            raise _expr.EvalError(f"curve is undefined at theta = {theta:.12g}")
+        return values
+
+    lhs = defined(thetas)
+    missed = np.abs(lhs) < POLE_MAGNITUDE
+    if not missed.any():
+        raise _expr.EvalError("curve is at a pole at every sample of the rule check")
+    tol = RULE_TOL * np.maximum(1.0, np.abs(lhs))
+    for n in ns:
+        rhs = defined(base + n * math.pi)
+        if n % 2 == 1:
+            rhs = -rhs
+        with np.errstate(invalid="ignore"):  # inf - inf on poles, left out
+            missed &= (np.abs(rhs) < POLE_MAGNITUDE) & ~(np.abs(lhs - rhs) < tol)
+        if not missed.any():
+            break
+    return missed
+
+
 def _holds_for_some_n(curve: PolarCurve, max_n: int | None, reflect: bool,
                       theta0: float) -> bool:
     n_period = curve.period_multiple_of_pi()
@@ -161,18 +175,9 @@ def _holds_for_some_n(curve: PolarCurve, max_n: int | None, reflect: bool,
     if max_n is None:
         max_n = 2 * n_period
     window = n_period * math.pi if n_period is not None else TWO_PI
-    thetas = np.linspace(0.0, window, SYMMETRY_SAMPLES, endpoint=False)
-    lhs = curve.eval_many(thetas)
+    thetas = np.linspace(0.0, window, RULE_SAMPLES, endpoint=False)
     base = (2.0 * theta0 - thetas) if reflect else (thetas + theta0)
-    unmatched = np.ones(thetas.shape, dtype=bool)
-    for n in range(0, max_n + 1):
-        rhs = curve.eval_many(base + n * math.pi)
-        if n % 2 == 1:
-            rhs = -rhs
-        unmatched &= np.abs(lhs - rhs) >= SYMMETRY_TOL
-        if not unmatched.any():
-            return True
-    return not unmatched.any()
+    return not _rule_misses(curve, thetas, base, range(max_n + 1)).any()
 
 
 def is_rotation_symmetric(curve: PolarCurve, theta0: float,

@@ -33,6 +33,15 @@ class RegularityError(ValueError):
     """The tangent vector vanishes somewhere on the parameter domain."""
 
 
+def _check_regular(speeds, where: str) -> None:
+    """Raise RegularityError unless every speed is finite and above
+    REGULARITY_TOL; `where` ends the message ("on the domain", ...)."""
+    if not np.all(np.isfinite(speeds)):
+        raise RegularityError(f"tangent vector is not finite {where}")
+    if float(np.min(speeds)) <= REGULARITY_TOL:
+        raise RegularityError(f"tangent vector vanishes {where}")
+
+
 class ParamCurve:
     """Regular plane curve t -> (x(t), y(t)) with symbolic derivatives."""
 
@@ -51,14 +60,7 @@ class ParamCurve:
         self.dx = dx if dx is not None else _expr.differentiate(self.x)
         self.dy = dy if dy is not None else _expr.differentiate(self.y)
         self._programs = {}
-        self._check_regular()
-
-    def _check_regular(self):
-        speed = self.speed_many(np.linspace(self.domain[0], self.domain[1], 1024))
-        if not np.all(np.isfinite(speed)):
-            raise RegularityError("tangent vector is not finite on the domain")
-        if float(np.min(speed)) <= REGULARITY_TOL:
-            raise RegularityError("tangent vector vanishes on the domain")
+        _check_regular(self.speed_many(np.linspace(a, b, 1024)), "on the domain")
 
     def program(self, *names: str) -> _expr.Program:
         """One program for the named expressions among x, y, dx, dy, built
@@ -181,8 +183,7 @@ def roll_state(curve: ParamCurve, cfg: RollConfig, t: float) -> RollState:
     alpha = curve.point(t)
     velocity = curve.velocity(t)
     speed = abs(velocity)
-    if speed <= REGULARITY_TOL:
-        raise RegularityError("tangent vector vanishes at the requested parameter")
+    _check_regular(speed, "at the requested parameter")
     theta = arc_length(curve, cfg.t0, t) / cfg.radius
     center, theta, point, trochoid = _assemble(cfg, alpha, velocity / speed, theta)
     return RollState(float(t), complex(center), float(theta), complex(point), complex(trochoid))
@@ -196,13 +197,6 @@ def roll_state(curve: ParamCurve, cfg: RollConfig, t: float) -> RollState:
 # fall into the same row groups of the BLAS kernel as in one product over
 # all gaps, and the arc lengths come out bit for bit the same.
 _TRACE_BLOCK = 8192
-
-
-def _check_speeds(speeds: np.ndarray) -> None:
-    if not np.all(np.isfinite(speeds)):
-        raise RegularityError("tangent vector is not finite on the trace range")
-    if float(np.min(speeds)) <= REGULARITY_TOL:
-        raise RegularityError("tangent vector vanishes on the trace range")
 
 
 def trace(curve: ParamCurve, cfg: RollConfig, t_from: float, t_to: float,
@@ -231,7 +225,7 @@ def trace(curve: ParamCurve, cfg: RollConfig, t_from: float, t_to: float,
         nodes = (starts + half)[:, None] + half * G7_NODES
         speeds = curve.speed_many(nodes.ravel()).reshape(nodes.shape)
         del nodes
-        _check_speeds(speeds)
+        _check_regular(speeds, "on the trace range")
         seg_lengths[lo : lo + starts.size] = speeds @ weights
         del speeds
 
@@ -239,7 +233,7 @@ def trace(curve: ParamCurve, cfg: RollConfig, t_from: float, t_to: float,
     velocity = dx + 1j * dy
     del dx, dy
     speed = np.abs(velocity)
-    _check_speeds(speed)
+    _check_regular(speed, "on the trace range")
     unit = velocity / speed
     del velocity, speed
     alpha = x + 1j * y

@@ -86,6 +86,16 @@ class TestIntersectCommand:
         assert len(points) == 1
         assert (points[0]["x"], points[0]["y"]) == pytest.approx((0.0, 1.0), abs=1e-12)
 
+    def test_removable_pole_is_no_point(self):
+        # tan(theta) - 1/cos(theta) tends to 0 at theta = pi/2, where both
+        # radii blow up; that root is no intersection point
+        result = run_subprocess(["intersect", "--c1", "tan(theta)", "--c2", "1/cos(theta)"])
+        assert result.returncode == 0
+        assert result.stderr == b""
+        payload = json.loads(result.stdout)
+        assert payload["origin"] is False
+        assert payload["points"] == []
+
     def test_identical_curves_exit_two(self):
         result = run_subprocess(["intersect", "--c1", "cos(theta)", "--c2", "cos(theta)"])
         assert result.returncode == 2
@@ -141,6 +151,12 @@ class TestPeriodAndSymmetry:
     def test_symmetry_rotation_with_pi_expression(self):
         _, out = run_inprocess(["symmetry", "--c1", "sin(2*theta)", "--rotation", "pi/2"])
         assert json.loads(out)["symmetric"] is True
+
+    def test_undefined_stretch_is_named(self):
+        result = run_subprocess(["period", "--c1", "sqrt(cos(theta))"])
+        assert result.returncode == 1
+        assert result.stderr == b"error: curve is undefined at theta = 1.57693224995\n"
+        assert result.stdout == b""
 
     @pytest.mark.parametrize(
         "source, message",

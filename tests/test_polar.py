@@ -93,8 +93,9 @@ class TestPeriod:
         assert polar_period(PolarCurve("t/10"), max_multiple=8) is None
 
     def test_nan_sample_raises(self):
-        # sqrt(cos) is undefined on (pi/2, 3pi/2): NaN is not a pole
-        with pytest.raises(EvalError):
+        # sqrt(cos) is undefined on (pi/2, 3pi/2): NaN is not a pole, and the
+        # error names the first sample of that stretch, 257*pi/512
+        with pytest.raises(EvalError, match=r"undefined at theta = 1\.5769"):
             polar_period(PolarCurve("sqrt(cos(theta))"))
 
     def test_degenerate_zero_curve(self):
@@ -148,6 +149,20 @@ class TestSymmetry:
     def test_aperiodic_needs_max_n(self):
         with pytest.raises(ValueError):
             is_rotation_symmetric(PolarCurve("t/10"), math.pi)
+
+    def test_pole_samples_are_left_out_of_reflection(self):
+        # the line y = 1 mirrors onto itself across the y axis; its pole
+        # samples at theta = 0 and pi must not count as a mismatch
+        assert is_reflection_symmetric(PolarCurve("1/sin(theta)"), math.pi / 2)
+
+    def test_pole_samples_are_left_out_of_rotation(self):
+        # tan(theta + pi) = tan(theta); only the samples on its poles, whose
+        # finite values 1.6e16 and 5.4e15 are rounding noise, disagree
+        assert is_rotation_symmetric(PolarCurve("tan(theta)"), math.pi)
+
+    def test_nan_sample_names_its_angle(self):
+        with pytest.raises(EvalError, match=r"undefined at theta = 1\.5769"):
+            is_rotation_symmetric(PolarCurve("sqrt(cos(theta))"), math.pi, max_n=2)
 
 
 def membership_distance(curve, g_value, phi, n_range=5):
