@@ -401,7 +401,7 @@ def main(argv=None) -> int:
     except (IdenticalCurvesError, RegularityError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (UsageError, _expr.ExprError, ValueError) as exc:
+    except (UsageError, _expr.ExprError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

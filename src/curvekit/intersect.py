@@ -91,7 +91,7 @@ def intersections(c1: PolarCurve, c2: PolarCurve) -> IntersectionResult:
 
     g1 = graph_points(c1)
     g2 = graph_points(c2)
-    if symmetric_hausdorff(g1, g2) < IDENTICAL_GRAPH_TOL:
+    if symmetric_hausdorff(g1, g2, IDENTICAL_GRAPH_TOL) < IDENTICAL_GRAPH_TOL:
         raise IdenticalCurvesError(
             f"curves {c1.text!r} and {c2.text!r} trace the same graph"
         )
@@ -133,8 +133,8 @@ def intersections(c1: PolarCurve, c2: PolarCurve) -> IntersectionResult:
             unique.append(cand)
 
     theta_f = origin_on_curve(c1)
-    theta_g = origin_on_curve(c2)
-    has_origin = theta_f is not None and theta_g is not None
+    theta_g = origin_on_curve(c2) if theta_f is not None else None
+    has_origin = theta_g is not None
     return IntersectionResult(
         origin=has_origin,
         origin_witnesses=(theta_f, theta_g) if has_origin else None,

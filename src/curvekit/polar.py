@@ -305,7 +305,8 @@ def positive_pieces(curve: PolarCurve) -> PiecewiseDecomposition:
     for piece in pieces:
         pts = piece.sample_points()
         duplicate = any(
-            symmetric_hausdorff(pts, earlier) < PIECE_MATCH_TOL for earlier in earlier_points
+            symmetric_hausdorff(pts, earlier, PIECE_MATCH_TOL) < PIECE_MATCH_TOL
+            for earlier in earlier_points
         )
         if duplicate:
             piece = Piece(piece.curve, piece.interval, traced_twice=True)

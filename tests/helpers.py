@@ -1,4 +1,7 @@
-"""Shared test utilities: random expression generators."""
+"""Shared test utilities: random expression generators, and a recorder of
+the bounds passed to symmetric_hausdorff."""
+
+import inspect
 
 import numpy as np
 
@@ -58,3 +61,17 @@ def random_smooth_ast(rng, depth=3):
         return BinOp("/", child, denom)
     op = "+-*"[rng.integers(0, 3)]
     return BinOp(op, child, random_smooth_ast(rng, depth - 1))
+
+
+def record_hausdorff_bounds(monkeypatch, module):
+    """Wrap the module global `module.symmetric_hausdorff`, the name the
+    benchmark's tracer wraps, and return the list of bounds it receives."""
+    real = module.symmetric_hausdorff
+    bounds = []
+
+    def recording(*args, **kwargs):
+        bounds.append(inspect.signature(real).bind(*args, **kwargs).arguments["bound"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "symmetric_hausdorff", recording)
+    return bounds

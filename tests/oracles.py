@@ -11,7 +11,7 @@
   and a scalar golden-section search per touching zero.
 - brute_hausdorff is the plain reference for numerics.symmetric_hausdorff:
   every point pair in chunks of 1,024 rows, each distance np.abs of a complex
-  difference, so the pruned scan must match it bit for bit.
+  difference, so the bounded sweep must match it bit for bit below its bound.
 - tree_program is the plain reference for expr.compile_program: one nested
   closure per tree node, nothing shared, so a subexpression is computed
   again wherever it occurs; shared programs must match it bit for bit.

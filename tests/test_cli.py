@@ -256,6 +256,15 @@ class TestRouletteCommand:
         code, _ = run_inprocess(["roulette", "--base", "line", "--radius", "0"])
         assert code == 1
 
+    def test_oversized_sample_count_exits_one_without_traceback(self):
+        # numpy refuses the 728 TiB array before it allocates anything
+        result = run_subprocess(["roulette", "--base", "line", "--radius", "1",
+                                 "--samples", "100000000000000"])
+        assert result.returncode == 1
+        assert result.stderr.startswith(b"error:")
+        assert b"Traceback" not in result.stderr
+        assert result.stdout == b""
+
 
 class TestSchema:
     def test_every_analysis_payload_is_versioned(self):

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from curvekit import intersect
 from curvekit.intersect import (
+    IDENTICAL_GRAPH_TOL,
     IdenticalCurvesError,
     count_nonzero_intersections,
     intersections,
     origin_on_curve,
 )
 from curvekit.polar import PolarCurve
+from helpers import record_hausdorff_bounds
 from oracles import rasterized_intersections
 
 SQ3_4 = math.sqrt(3.0) / 4.0
@@ -34,6 +37,34 @@ class TestOriginOnCurve:
         lam = 2.0
         theta = origin_on_curve(curve("1 - lambda*sin(theta)", {"lambda": lam}))
         assert theta == pytest.approx(math.asin(1.0 / lam), abs=1e-9)
+
+
+class TestLayerCalls:
+    def test_origin_of_second_curve_skipped_when_first_misses(self, monkeypatch):
+        c1, c2 = curve("1 - 0.5*sin(theta)"), curve("cos(theta)")
+        expected = intersections(c1, c2)
+        calls = []
+
+        def counting(c, *args, **kwargs):
+            calls.append(c)
+            return origin_on_curve(c, *args, **kwargs)
+
+        monkeypatch.setattr(intersect, "origin_on_curve", counting)
+        result = intersections(c1, c2)
+        assert calls == [c1]
+        assert result == expected
+        assert not result.origin and result.origin_witnesses is None
+        assert point_set(result) == [(0.36, 0.48), (1.0, 0.0)]
+
+    @pytest.mark.parametrize("t1, t2", [("sin(5*theta)", "cos(5*theta)"),
+                                        ("cos(3*theta)", "-cos(3*theta + 3*pi)")])
+    def test_graph_identity_is_one_bounded_hausdorff_call(self, monkeypatch, t1, t2):
+        bounds = record_hausdorff_bounds(monkeypatch, intersect)
+        try:
+            intersections(curve(t1), curve(t2))
+        except IdenticalCurvesError:
+            pass
+        assert bounds == [IDENTICAL_GRAPH_TOL]
 
 
 class TestGoldenPairs:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import directed_hausdorff
 
-from curvekit import numerics
 from curvekit.area import SectorRegion, loop_area
 from curvekit.intersect import graph_points
 from curvekit.numerics import (
@@ -249,27 +248,26 @@ class TestHausdorff:
             for n in (1, 2, 5):
                 params = {name: float(rng.uniform(0.3, 2.8))} if name else {}
                 yield self._graphs(t1.format(n=n, m=2 * n), t2.format(n=n, m=2 * n), params)
+        # degenerate clouds: every point at the origin, and a vertical line
+        yield self._graphs("0*theta", "0*theta")
+        yield self._graphs("1/cos(theta)", "1/cos(theta)")
+        yield self._graphs("1/cos(theta)", "2/cos(theta)")
 
     @staticmethod
     def _graphs(t1, t2, params=None):
         return graph_points(PolarCurve(t1, params)), graph_points(PolarCurve(t2, params))
 
-    def test_pruned_scan_equals_brute_force(self, monkeypatch):
-        full_blocks = []
-        full_block = numerics._full_block_hausdorff
-
-        def counting(za, zb):
-            full_blocks.append(za.size)
-            return full_block(za, zb)
-
-        monkeypatch.setattr(numerics, "_full_block_hausdorff", counting)
-        cases = 0
+    def test_sweep_matches_brute_force(self):
         for za, zb in self._cases():
+            exact = brute_hausdorff(za, zb)
             got = symmetric_hausdorff(za, zb)
-            assert got == brute_hausdorff(za, zb)
+            assert got == exact
             xa, xb = (np.column_stack([z.real, z.imag]) for z in (za, zb))
             reference = max(directed_hausdorff(xa, xb)[0], directed_hausdorff(xb, xa)[0])
             assert math.isclose(got, reference, rel_tol=1e-12)
-            cases += 1
-        # both branches ran: the pruned scan and the full block
-        assert 0 < len(full_blocks) < cases
+            # with a bound: the same decision, and the exact value below it
+            for bound in (1e-6, 1e-3, 0.1):
+                got = symmetric_hausdorff(za, zb, bound)
+                assert (got < bound) == (exact < bound)
+                if exact < bound:
+                    assert got == exact

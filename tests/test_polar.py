@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from curvekit import polar
 from curvekit.expr import EvalError
 from curvekit.polar import (
+    PIECE_MATCH_TOL,
     PolarCurve,
     PolarPoint,
     is_reflection_symmetric,
@@ -14,6 +16,7 @@ from curvekit.polar import (
     positive_pieces,
     to_complex,
 )
+from helpers import record_hausdorff_bounds
 
 TWO_PI = 2.0 * math.pi
 
@@ -211,6 +214,12 @@ class TestPositivePieces:
         phis = np.linspace(small.interval[0], small.interval[1], 200)
         expected = -(1.0 + lam * np.sin(phis))
         assert np.max(np.abs(small.curve.eval_many(phis) - expected)) < 1e-9
+
+    def test_each_piece_is_compared_with_every_earlier_piece(self, monkeypatch):
+        bounds = record_hausdorff_bounds(monkeypatch, polar)
+        dec = positive_pieces(PolarCurve("cos(2*theta)"))  # four distinct petals
+        assert len(dec) == 4 and not any(p.traced_twice for p in dec)
+        assert bounds == [PIECE_MATCH_TOL] * (0 + 1 + 2 + 3)
 
     def test_degenerate_zero_curve_single_piece(self):
         dec = positive_pieces(PolarCurve("0"))
