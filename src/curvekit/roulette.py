@@ -161,16 +161,26 @@ def arc_length(curve: ParamCurve, t_start: float, t_end: float,
     return integrate(curve.speed_many, t_start, t_end, tol)
 
 
-def _assemble(cfg: RollConfig, alpha, unit, theta):
+# numpy evaluates `a * b` in b's buffer, as `b * a`, when b is a temporary
+# of at least this many bytes (temporary elision).  Complex products are not
+# bitwise commutative, so this is the size from which the one-shot trace of
+# a whole output multiplied exp(i*theta) * n instead of n * exp(i*theta);
+# trace keeps that order for each sample count while it assembles in blocks.
+_ELISION_BYTES = 256 * 1024
+
+
+def _assemble(cfg: RollConfig, alpha, unit, theta, rotation_first=False):
     if cfg.reverse:
         theta = -theta
     n = 1j * unit * cfg.radius
     if cfg.side == "normal":
         center = alpha + n
-        point = center - n * np.exp(-1j * theta)
+        rotation = np.exp(-1j * theta)
     else:
         center = alpha - n
-        point = center + n * np.exp(1j * theta)
+        rotation = np.exp(1j * theta)
+    turned = rotation * n if rotation_first else n * rotation
+    point = center - turned if cfg.side == "normal" else center + turned
     trochoid = point + cfg.k * (point - center)
     return center, theta, point, trochoid
 
@@ -189,13 +199,15 @@ def roll_state(curve: ParamCurve, cfg: RollConfig, t: float) -> RollState:
     return RollState(float(t), complex(center), float(theta), complex(point), complex(trochoid))
 
 
-# trace evaluates the Gauss nodes this many sample gaps at a time.  All at
-# once, the 1.4e6 nodes of a 2e5-sample trace and their temporaries peak at
-# 58 MB of allocations; in blocks of 8,192 gaps the trace peaks at 24 MB, and
-# each numpy call still spans 57,344 points, so per-call overhead stays
-# negligible.  A power of two, so the rows of each block's matrix product
-# fall into the same row groups of the BLAS kernel as in one product over
-# all gaps, and the arc lengths come out bit for bit the same.
+# trace works on this many sample gaps at a time: first the Gauss nodes of
+# every gap, then the samples themselves.  All at once, the 1.4e6 nodes of a
+# 2e5-sample trace and their temporaries peak at 58 MB of allocations, and
+# the dozen per-sample arrays at 24 MB; in blocks of 8,192 the trace peaks at
+# 8 MB, most of it the samples, their arc lengths and the output, and each
+# numpy call still spans 8,192 samples or 57,344 nodes, so per-call overhead
+# stays negligible.  A power of two, so the rows of each block's matrix
+# product fall into the same row groups of the BLAS kernel as in one product
+# over all gaps, and the arc lengths come out bit for bit the same.
 _TRACE_BLOCK = 8192
 
 
@@ -204,11 +216,15 @@ def trace(curve: ParamCurve, cfg: RollConfig, t_from: float, t_to: float,
     """Trochoid points at uniformly spaced parameters (contact points if k=0).
 
     Arc length is accumulated with the 7-point Gauss rule (the G7 half of
-    the quadrature's Gauss-Kronrod table) on every sample gap, evaluated in
-    blocks of _TRACE_BLOCK gaps so memory stays bounded; the accumulated
-    value matches the adaptive quadrature within ~1e-12 for smooth speeds.
-    A non-finite or vanishing tangent at any node or sample raises
-    RegularityError.
+    the quadrature's Gauss-Kronrod table) on every sample gap; the
+    accumulated value matches the adaptive quadrature within ~1e-12 for
+    smooth speeds.  The Gauss nodes, and then the samples, are evaluated in
+    blocks of _TRACE_BLOCK, so memory stays bounded and the points are bit
+    for bit those of one pass over all of them.  A non-finite or vanishing
+    tangent at any node or sample raises RegularityError.  Every node is
+    checked before any sample; among the samples a non-finite tangent is
+    reported before a vanishing one, and either before a failure of the arc
+    length from cfg.t0.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -219,7 +235,8 @@ def trace(curve: ParamCurve, cfg: RollConfig, t_from: float, t_to: float,
     half = 0.5 * (ts[1] - ts[0])
     weights = half * G7_WEIGHTS
 
-    seg_lengths = np.empty(ts.size - 1)
+    s = np.empty(ts.shape)  # arc length from t0 at each sample
+    seg_lengths = s[1:]
     for lo in range(0, seg_lengths.size, _TRACE_BLOCK):
         starts = ts[lo : min(lo + _TRACE_BLOCK, seg_lengths.size)]
         nodes = (starts + half)[:, None] + half * G7_NODES
@@ -228,22 +245,32 @@ def trace(curve: ParamCurve, cfg: RollConfig, t_from: float, t_to: float,
         _check_regular(speeds, "on the trace range")
         seg_lengths[lo : lo + starts.size] = speeds @ weights
         del speeds
+    np.cumsum(seg_lengths, out=seg_lengths)
+    failure = None  # raised only if no sample tangent fails its check
+    try:
+        s[0] = arc_length(curve, cfg.t0, float(ts[0]))
+        seg_lengths += s[0]
+    except ValueError as error:
+        failure = error
 
-    x, y, dx, dy = curve.program("x", "y", "dx", "dy")(ts)
-    velocity = dx + 1j * dy
-    del dx, dy
-    speed = np.abs(velocity)
-    _check_regular(speed, "on the trace range")
-    unit = velocity / speed
-    del velocity, speed
-    alpha = x + 1j * y
-    del x, y
-
-    s = np.empty(ts.shape)
-    s[0] = arc_length(curve, cfg.t0, float(ts[0]))
-    s[1:] = s[0] + np.cumsum(seg_lengths)
-    del seg_lengths
-    _, _, _, trochoid = _assemble(cfg, alpha, unit, s / cfg.radius)
+    program = curve.program("x", "y", "dx", "dy")
+    trochoid = np.empty(ts.shape, dtype=complex)
+    rotation_first = trochoid.nbytes >= _ELISION_BYTES
+    slowest = math.inf
+    for lo in range(0, ts.size, _TRACE_BLOCK):
+        block = slice(lo, lo + _TRACE_BLOCK)
+        x, y, dx, dy = program(ts[block])
+        velocity = dx + 1j * dy
+        speed = np.abs(velocity)
+        if not np.all(np.isfinite(speed)):
+            _check_regular(speed, "on the trace range")  # raises: not finite
+        slowest = min(slowest, float(np.min(speed)))
+        if failure is None and slowest > REGULARITY_TOL:
+            trochoid[block] = _assemble(cfg, x + 1j * y, velocity / speed,
+                                        s[block] / cfg.radius, rotation_first)[3]
+    _check_regular(slowest, "on the trace range")
+    if failure is not None:
+        raise failure
     return trochoid
 
 

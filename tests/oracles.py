@@ -17,7 +17,11 @@
   again wherever it occurs; shared programs must match it bit for bit.
 - one_shot_trace is the plain reference for roulette.trace: every Gauss
   node of every sample gap in one array, speeds np.abs(dx + 1j*dy) from
-  tree_program evaluators, so the blocked trace must match it bit for bit.
+  tree_program evaluators, and the trochoid assembled over all samples at
+  once with its own copy of the rolling equations, so the blocked trace must
+  match it bit for bit.  `n * np.exp(...)` is written as in a one-shot
+  assembly: on outputs of 256 KiB or more numpy's temporary elision runs it
+  as `np.exp(...) * n`, and the blocked trace must reproduce that order too.
 """
 
 import math
@@ -39,7 +43,7 @@ from curvekit.numerics import (
     TANGENTIAL_GATE,
     TANGENTIAL_PREFILTER,
 )
-from curvekit.roulette import REGULARITY_TOL, RegularityError, _assemble, arc_length
+from curvekit.roulette import REGULARITY_TOL, RegularityError, arc_length
 
 TWO_PI = 2.0 * math.pi
 
@@ -313,4 +317,15 @@ def one_shot_trace(curve, cfg, t_from, t_to, samples):
     s[0] = arc_length(curve, cfg.t0, float(ts[0]))
     s[1:] = s[0] + np.cumsum(speeds @ (half * G7_WEIGHTS))
     alpha = x(ts) + 1j * y(ts)
-    return _assemble(cfg, alpha, velocity / speed, s / cfg.radius)[3]
+    unit = velocity / speed
+    theta = s / cfg.radius
+    if cfg.reverse:
+        theta = -theta
+    n = 1j * unit * cfg.radius
+    if cfg.side == "normal":
+        center = alpha + n
+        point = center - n * np.exp(-1j * theta)
+    else:
+        center = alpha - n
+        point = center + n * np.exp(1j * theta)
+    return point + cfg.k * (point - center)

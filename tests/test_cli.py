@@ -341,7 +341,9 @@ class TestBulkFormatting:
 
 class TestRouletteBytes:
     """sha256 of roulette stdout at 3,000 samples, recorded from per-value
-    formatting and a one-shot trace: the output bytes must not move."""
+    formatting and a one-shot trace, and of CSV at 40,000 samples, five
+    blocks of the trace, recorded from a one-shot pass over the samples:
+    the output bytes must not move."""
 
     BASES = {"line": [], "circle": ["--R", "3"], "ellipse": ["--a", "3", "--b", "2"],
              "limacon": ["--lambda", "2"]}
@@ -381,14 +383,27 @@ class TestRouletteBytes:
     ("limacon", "svg", "antinormal"): "8c524a9b04aedd0d0a565a57909c3f4ed6f5ceb522df4b34c47c22e2d8cff7a8",
     ("limacon", "svg", "reverse"): "228132615fb6aecb6535b86f9dd3e1025e929ef6946e2eb4fdf013880e2c3c77",
     }
+    MULTI_BLOCK_DIGESTS = {
+    ("circle", "csv", "plain"): "f45a5a4bd6f02d605632f7e1bc58f9c7233a0b7a8ce761f46ba6b522cab40c30",
+    ("circle", "csv", "reverse"): "1f444381959d8ed06ba14c1615198ae87b7bb72e6d5e65884e1d3673294633a7",
+    ("ellipse", "csv", "plain"): "2a694efb489a4f2d33bcdcba889d827dbe3401aa43879904b98636378c738e0a",
+    ("ellipse", "csv", "reverse"): "7e82fe1dacc33811a4ed4715fc511a8b66d58f1c2d796fdfcc42fe09b55f0186",
+    ("limacon", "csv", "plain"): "8e80fddd96b6c40a1fc6aade087f0d0be939ea410f61899c48f004369ba2b967",
+    ("limacon", "csv", "reverse"): "3f1bff8e0107d8881be187c9406b21473d895986e29ea57bf5e2fd0e7827ce38",
+    ("line", "csv", "plain"): "dc3d10e3da12744b59633dc40756d1e1fb5e615db3e2b491cf6bf675f9f133ae",
+    ("line", "csv", "reverse"): "c2a980b5c81d2993410c2f88fb05c339186eca09e940bec9eece343ad1ff73f8",
+    }
 
     @pytest.mark.parametrize("base", sorted(BASES))
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     def test_stdout_digest(self, base, fmt):
-        for name, variant in self.VARIANTS.items():
+        runs = [("3000", name, self.DIGESTS[base, fmt, name]) for name in self.VARIANTS]
+        runs += [("40000", name, digest) for (b, f, name), digest in self.MULTI_BLOCK_DIGESTS.items()
+                 if (b, f) == (base, fmt)]
+        for samples, name, want in runs:
             argv = ["roulette", "--base", base, *self.BASES[base], "--radius", "0.7",
-                    "--samples", "3000", "--format", fmt, *variant]
+                    "--samples", samples, "--format", fmt, *self.VARIANTS[name]]
             code, out = run_inprocess(argv)
             assert code == 0
             digest = hashlib.sha256(out.encode()).hexdigest()
-            assert digest == self.DIGESTS[base, fmt, name], (base, fmt, name)
+            assert digest == want, (base, fmt, name, samples)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -206,14 +207,24 @@ class TestTrace:
 
     def test_regularity_failure_at_a_sample(self):
         base = ParamCurve("t^2", "t^2", domain=(-1.0, 1.0))  # alpha'(0) = 0
-        with pytest.raises(RegularityError):
-            trace(base, RollConfig(1.0), -1.0, 1.0, 3)
+        # with 2 * _TRACE_BLOCK + 1 samples t = 0 is the first sample of the
+        # second block; the bad sample is reported even when the arc length
+        # from t0 = 5, outside the domain, cannot be computed
+        for samples, t0 in ((3, 0.0), (2 * _TRACE_BLOCK + 1, 0.0), (2 * _TRACE_BLOCK + 1, 5.0)):
+            with pytest.raises(RegularityError, match="tangent vector vanishes on the trace range"):
+                trace(base, RollConfig(1.0, t0=t0), -1.0, 1.0, samples)
 
     @pytest.mark.parametrize("samples", [3, 2])  # the bad tangent on a sample, then a node
     def test_non_finite_tangent_raises(self, samples):
         base = ParamCurve("t", "sqrt(t^2 - 1e-8)", domain=(-1.0, 1.0))  # y' = nan near 0
         with pytest.raises(RegularityError, match="not finite"):
             trace(base, RollConfig(1.0, t0=-1.0), -1.0, 1.0, samples)
+
+    def test_non_finite_sample_is_reported_before_a_vanishing_one(self):
+        # alpha'(-0.5) = 0 in the first block, y'(0.5) = nan in the second
+        base = ParamCurve("(t+0.5)^2", "(t+0.5)^2*sqrt((t-0.5)^2 - 1e-20)", domain=(-1.0, 1.0))
+        with pytest.raises(RegularityError, match="not finite"):
+            trace(base, RollConfig(1.0, t0=-1.0), -1.0, 1.0, 2 * _TRACE_BLOCK + 1)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
@@ -316,13 +327,17 @@ class TestBlockedTrace:
     @pytest.mark.parametrize("name", sorted(BASES))
     def test_matches_one_shot_reference(self, name):
         base = BASES[name]()
-        cfg = RollConfig(0.7, side="antinormal", k=0.5, t0=0.2)
         t_to = min(base.domain[1], TWO_PI)
-        for samples in (2, 3, _TRACE_BLOCK - 1, _TRACE_BLOCK, _TRACE_BLOCK + 1,
-                        _TRACE_BLOCK + 2, 200_000):
-            got = trace(base, cfg, 0.1, t_to, samples)
-            want = one_shot_trace(base, cfg, 0.1, t_to, samples)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), samples
+        for side, reverse, k in itertools.product(("normal", "antinormal"), (False, True), (0.0, 0.5)):
+            cfg = RollConfig(0.7, side=side, reverse=reverse, k=k, t0=0.2)
+            # 16,384 complex samples are the 256 KiB from which numpy elides
+            # the one-shot product's temporary
+            for samples in (2, 3, _TRACE_BLOCK - 1, _TRACE_BLOCK, _TRACE_BLOCK + 1,
+                            _TRACE_BLOCK + 2, 16_383, 16_384, 16_385,
+                            3 * _TRACE_BLOCK + 1, 200_000):
+                got = trace(base, cfg, 0.1, t_to, samples)
+                want = one_shot_trace(base, cfg, 0.1, t_to, samples)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (cfg, samples)
 
     def test_memory_stays_bounded(self):
         base, cfg = limacon(2.0), RollConfig(0.5)
@@ -333,4 +348,6 @@ class TestBlockedTrace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6  # all Gauss nodes at once peak at 57.7 MB
+        # 8.1 MB in blocks; all Gauss nodes at once peak at 57.7 MB, all
+        # samples at once (after the nodes in blocks) at 24 MB
+        assert peak < 12e6
