@@ -37,7 +37,6 @@ from .intersect import (
 from .numerics import RootList, find_roots, integrate
 from .polar import (
     Piece,
-    PiecewiseDecomposition,
     PolarCurve,
     PolarPoint,
     is_reflection_symmetric,
@@ -93,7 +92,6 @@ __all__ = [
     "find_roots",
     "integrate",
     "Piece",
-    "PiecewiseDecomposition",
     "PolarCurve",
     "PolarPoint",
     "is_reflection_symmetric",

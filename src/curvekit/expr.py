@@ -18,13 +18,14 @@ exponent must reduce to a constant.  Expressions nested deeper than
 Two evaluators share the AST: ``evaluate`` walks it at one point and raises
 ``EvalError`` on any singularity; ``compile_program`` builds a ``Program``,
 nested numpy closures that evaluate it over an array with IEEE semantics.
+A ``Program`` holds no values between calls: each call keeps the values of
+its shared subexpressions to itself, so threads can share one without a lock.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import threading
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -593,31 +594,18 @@ class Program:
     Calling it maps an array of variable values to a new float array of the
     same shape, or, for a program compiled from a sequence of nodes, to a
     tuple of such arrays, one per node; no result shares memory with the
-    input or with another result.  Evaluation follows IEEE semantics (poles
-    give inf/nan, without warnings); callers that need strict error
-    reporting use `evaluate`, the scalar AST walk.
+    input or with another result.  Each call keeps its intermediate values
+    to itself, so threads may share a program without a lock.  Evaluation
+    follows IEEE semantics (poles give inf/nan, without warnings); callers
+    that need strict error reporting use `evaluate`, the scalar AST walk.
     """
 
     fn: Callable[[np.ndarray], object]
-    several: bool = False
 
     def __call__(self, xs: np.ndarray):
         xs = np.asarray(xs, dtype=float)
         with np.errstate(all="ignore"):
-            out = self.fn(xs)
-        if not self.several:
-            # Only the expression `t` returns xs itself, and only a constant
-            # returns a scalar; every other result is already a fresh array.
-            if out is xs or np.ndim(out) == 0:
-                return np.full(xs.shape, out)
-            return out
-        fresh = []
-        for value in out:
-            # a node listed twice, or shared by two outputs, is one array
-            if np.ndim(value) == 0 or any(value is seen for seen in (xs, *fresh)):
-                value = np.full(xs.shape, value)
-            fresh.append(value)
-        return tuple(fresh)
+            return self.fn(xs)
 
 
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "sqrt": np.sqrt, "abs": np.abs}
@@ -637,7 +625,7 @@ def compile_program(nodes, params: dict[str, float] | None = None) -> Program:
     several = isinstance(nodes, (list, tuple))
     dag = _Dag(params or {})
     roots = [dag.slot(node) for node in (nodes if several else [nodes])]
-    return Program(dag.evaluator(roots, several), several)
+    return Program(dag.evaluator(roots, several))
 
 
 class _Dag:
@@ -647,9 +635,10 @@ class _Dag:
     type, its operator, function, name or value, and its children's slots,
     so no subtree is hashed twice, and node objects already seen are looked
     up by identity.  A slot used by more than one parent (or output) is a
-    step: computed once per call, held until its last reader has run, then
-    released.  Every other slot is a nested closure inside its one user,
-    exactly as a tree without repeats compiles.
+    step: computed once per call into a dict that the call owns, held there
+    until its last reader has run, then released.  Every other slot is a
+    nested closure inside its one user, exactly as a tree without repeats
+    compiles.  Every closure maps (xs, the call's step values) to values.
     """
 
     def __init__(self, params: dict[str, float]):
@@ -659,9 +648,7 @@ class _Dag:
         self.nodes: list[Node] = []
         self.children: list[tuple[int, ...]] = []
         self.has_var: list[bool] = []
-        self.step_of: dict[int, int] = {}  # step slot -> index of its held value
-        self.values: list = []             # held step values, one per step
-        self.unread: dict[int, int] = {}   # step slot -> readers not yet built
+        self.unread: dict[int, int] = {}  # step slot -> readers not yet built
 
     def slot(self, node: Node) -> int:
         found = self.seen.get(id(node))
@@ -700,97 +687,90 @@ class _Dag:
         for r in roots:
             uses[r] += 1
         # Slots are numbered children first, so this order is topological.
-        steps = [s for s, n in enumerate(uses)
-                 if n > 1 and not isinstance(self.nodes[s], (Const, Var, Param))]
-        if not steps and not several:
-            return self._closure(roots[0])
         # Closures are built in the order they run, so the reader built last
         # for a step is the one that runs last, and it releases the value.
-        self.values = [None] * len(steps)
-        self.step_of = {s: i for i, s in enumerate(steps)}
-        self.unread = {s: uses[s] for s in steps}
-        compiled = [(i, self._closure(s, inline=True)) for i, s in enumerate(steps)]
-        outputs = [self._closure(r) for r in roots]
-        values = self.values
-        lock = threading.Lock()  # the step values are per program, not per call
+        self.unread = {s: n for s, n in enumerate(uses)
+                       if n > 1 and not isinstance(self.nodes[s], (Const, Var, Param))}
+        steps = [(s, self._closure(s, inline=True)) for s in self.unread]
+        outputs = []
+        for i, r in enumerate(roots):
+            out = self._closure(r)
+            # xs itself, a scalar or constant array, or a slot listed twice
+            if isinstance(self.nodes[r], Var) or not self.has_var[r] or r in roots[:i]:
+                out = _filled(out)
+            outputs.append(out)
 
         def run(xs):
-            with lock:
-                try:
-                    for i, step in compiled:
-                        values[i] = step(xs)
-                    if not several:
-                        return outputs[0](xs)
-                    return tuple(out(xs) for out in outputs)
-                finally:
-                    values[:] = [None] * len(values)
+            values = {}
+            for s, step in steps:
+                values[s] = step(xs, values)
+            if not several:
+                return outputs[0](xs, values)
+            return tuple([out(xs, values) for out in outputs])
 
         return run
 
     def _reader(self, s: int):
         self.unread[s] -= 1
-        values, i = self.values, self.step_of[s]
         if self.unread[s]:
-            return lambda xs: values[i]
-
-        def last_read(xs):
-            value = values[i]
-            values[i] = None
-            return value
-
-        return last_read
+            return lambda xs, values: values[s]
+        return lambda xs, values: values.pop(s)
 
     def _closure(self, s: int, inline: bool = False):
-        """Function mapping xs to the slot's values.
+        """Function mapping xs and the call's step values to the slot's values.
 
         A subtree without the variable gives a numpy scalar.  Arithmetic on
         it is exact, but a function or power of it is taken on an array of
         xs.shape, because numpy's array loops and scalar path may round apart.
         """
-        if not inline and s in self.step_of:
+        if not inline and s in self.unread:
             return self._reader(s)
         node = self.nodes[s]
         if isinstance(node, Const):
             value = np.float64(node.value)
-            return lambda xs: value
+            return lambda xs, values: value
         if isinstance(node, Param):
             if node.name not in self.params:
                 raise EvalError(f"unbound parameter {node.name!r}")
             value = np.float64(self.params[node.name])
-            return lambda xs: value
+            return lambda xs, values: value
         if isinstance(node, Var):
-            return lambda xs: xs
+            return lambda xs, values: xs
         children = self.children[s]
         if isinstance(node, Neg):
             arg = self._closure(children[0])
-            return lambda xs: -arg(xs)
+            return lambda xs, values: -arg(xs, values)
         if isinstance(node, BinOp) and node.op != "^":
             left, right = self._closure(children[0]), self._closure(children[1])
             if node.op == "+":
-                return lambda xs: left(xs) + right(xs)
+                return lambda xs, values: left(xs, values) + right(xs, values)
             if node.op == "-":
-                return lambda xs: left(xs) - right(xs)
+                return lambda xs, values: left(xs, values) - right(xs, values)
             if node.op == "*":
-                return lambda xs: left(xs) * right(xs)
-            return lambda xs: left(xs) / right(xs)
+                return lambda xs, values: left(xs, values) * right(xs, values)
+            return lambda xs, values: left(xs, values) / right(xs, values)
         arg = self._closure(children[0])
         if not self.has_var[children[0]]:
-            scalar = arg
-            arg = lambda xs: np.full(xs.shape, scalar(xs))
+            arg = _filled(arg)
         if isinstance(node, Call):
             func = _UFUNCS[node.func]
-            return lambda xs: func(arg(xs))
+            return lambda xs, values: func(arg(xs, values))
         exponent = node.right.value
         if exponent != int(exponent) or abs(exponent) > _MAX_MULTIPLIED_EXPONENT:
             exponent = np.float64(exponent)
-            return lambda xs: arg(xs) ** exponent
+            return lambda xs, values: arg(xs, values) ** exponent
         k = int(exponent)
 
-        def power(xs):
-            base = arg(xs)
+        def power(xs, values):
+            base = arg(xs, values)
             acc = np.ones(xs.shape)
             for _ in range(abs(k)):
                 acc = acc * base
             return 1.0 / acc if k < 0 else acc
 
         return power
+
+
+def _filled(closure):
+    """The closure's values copied into a new array of xs.shape."""
+    return lambda xs, values: np.full(xs.shape, closure(xs, values))

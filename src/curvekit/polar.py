@@ -211,20 +211,6 @@ class Piece:
         return self.curve.points_many(thetas)
 
 
-@dataclass(frozen=True)
-class PiecewiseDecomposition:
-    pieces: tuple[Piece, ...]
-
-    def __len__(self):
-        return len(self.pieces)
-
-    def __iter__(self):
-        return iter(self.pieces)
-
-    def __getitem__(self, i):
-        return self.pieces[i]
-
-
 def _transformed_negative(curve: PolarCurve, lo: float, hi: float) -> tuple[PolarCurve, float, float]:
     # On a stretch where f <= 0 the same plane points are g(phi) e^(i phi)
     # with g(phi) = -f(phi - pi) on [lo + pi, hi + pi].  If that window would
@@ -240,7 +226,7 @@ def _transformed_negative(curve: PolarCurve, lo: float, hi: float) -> tuple[Pola
     return PolarCurve(g, curve.params, (lo2, hi2)), lo2, hi2
 
 
-def positive_pieces(curve: PolarCurve) -> PiecewiseDecomposition:
+def positive_pieces(curve: PolarCurve) -> tuple[Piece, ...]:
     """Rewrite the curve over its domain as non-negative pieces.
 
     Stretches where f is negative are re-expressed through the half-turn
@@ -255,7 +241,7 @@ def positive_pieces(curve: PolarCurve) -> PiecewiseDecomposition:
     if np.max(np.abs(vals)) < 1e-12:
         # identically zero: the graph is the origin
         piece = Piece(curve, (a, b), traced_twice=False)
-        return PiecewiseDecomposition((piece,))
+        return (piece,)
 
     zeros = list(find_roots(curve.eval_many, a, b))
     cuts = [a] + [z for z in zeros if a + 1e-12 < z < b - 1e-12] + [b]
@@ -312,4 +298,4 @@ def positive_pieces(curve: PolarCurve) -> PiecewiseDecomposition:
             piece = Piece(piece.curve, piece.interval, traced_twice=True)
         flagged.append(piece)
         earlier_points.append(pts)
-    return PiecewiseDecomposition(tuple(flagged))
+    return tuple(flagged)

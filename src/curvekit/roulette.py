@@ -28,6 +28,12 @@ from .numerics import G7_NODES, G7_WEIGHTS, integrate
 
 REGULARITY_TOL = 1e-9
 
+# Parameters up to this far outside a curve's domain count as on it: an end
+# computed in floating point (t0 + 2*pi, a bisected contact parameter) can
+# miss the domain's end by a few ulps, under 1e-14 on domains of a few dozen
+# radians, and the tolerance admits that rounding and nothing coarser.
+DOMAIN_TOL = 1e-12
+
 
 class RegularityError(ValueError):
     """The tangent vector vanishes somewhere on the parameter domain."""
@@ -90,13 +96,9 @@ class ParamCurve:
         x, y = self.program("x", "y")(ts)
         return x + 1j * y
 
-    def velocity_many(self, ts) -> np.ndarray:
-        dx, dy = self.program("dx", "dy")(ts)
-        return dx + 1j * dy
-
     def speed_many(self, ts) -> np.ndarray:
-        """|alpha'(t)|, as np.abs(velocity_many(ts)) gives it wherever that
-        is finite, from a complex array filled with dx and dy in place."""
+        """|alpha'(t)|, as np.abs(dx + 1j*dy) gives it wherever that is
+        finite, from a complex array filled with dx and dy in place."""
         dx, dy = self.program("dx", "dy")(ts)
         velocity = np.empty(dx.shape, dtype=complex)
         velocity.real = dx
@@ -156,7 +158,7 @@ def arc_length(curve: ParamCurve, t_start: float, t_end: float,
     """Signed arc length along the curve (negative when t_end < t_start)."""
     a, b = curve.domain
     lo, hi = min(t_start, t_end), max(t_start, t_end)
-    if lo < a - 1e-12 or hi > b + 1e-12:
+    if lo < a - DOMAIN_TOL or hi > b + DOMAIN_TOL:
         raise ValueError("arc-length bounds outside the curve domain")
     return integrate(curve.speed_many, t_start, t_end, tol)
 
@@ -188,7 +190,7 @@ def _assemble(cfg: RollConfig, alpha, unit, theta, rotation_first=False):
 def roll_state(curve: ParamCurve, cfg: RollConfig, t: float) -> RollState:
     """Center, rolled angle, contact point and trochoid point at parameter t."""
     a, b = curve.domain
-    if t < a - 1e-12 or t > b + 1e-12:
+    if t < a - DOMAIN_TOL or t > b + DOMAIN_TOL:
         raise ValueError("parameter outside the curve domain")
     alpha = curve.point(t)
     velocity = curve.velocity(t)
@@ -221,15 +223,16 @@ def trace(curve: ParamCurve, cfg: RollConfig, t_from: float, t_to: float,
     smooth speeds.  The Gauss nodes, and then the samples, are evaluated in
     blocks of _TRACE_BLOCK, so memory stays bounded and the points are bit
     for bit those of one pass over all of them.  A non-finite or vanishing
-    tangent at any node or sample raises RegularityError.  Every node is
-    checked before any sample; among the samples a non-finite tangent is
-    reported before a vanishing one, and either before a failure of the arc
-    length from cfg.t0.
+    tangent at any node or sample raises RegularityError.  Whatever the
+    sample count, of the failures a trace has the one raised comes first in
+    this order: a non-finite tangent at a node, a vanishing one at a node,
+    a non-finite one at a sample, a vanishing one at a sample, a failure of
+    the arc length from cfg.t0.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
     a, b = curve.domain
-    if t_from < a - 1e-12 or t_to > b + 1e-12 or not t_from < t_to:
+    if t_from < a - DOMAIN_TOL or t_to > b + DOMAIN_TOL or not t_from < t_to:
         raise ValueError("trace range outside the curve domain")
     ts = np.linspace(t_from, t_to, int(samples))
     half = 0.5 * (ts[1] - ts[0])
@@ -237,14 +240,18 @@ def trace(curve: ParamCurve, cfg: RollConfig, t_from: float, t_to: float,
 
     s = np.empty(ts.shape)  # arc length from t0 at each sample
     seg_lengths = s[1:]
+    slowest = math.inf  # least tangent speed at the nodes, later the samples too
     for lo in range(0, seg_lengths.size, _TRACE_BLOCK):
         starts = ts[lo : min(lo + _TRACE_BLOCK, seg_lengths.size)]
         nodes = (starts + half)[:, None] + half * G7_NODES
         speeds = curve.speed_many(nodes.ravel()).reshape(nodes.shape)
         del nodes
-        _check_regular(speeds, "on the trace range")
+        if not np.all(np.isfinite(speeds)):
+            _check_regular(speeds, "on the trace range")  # raises: not finite
+        slowest = min(slowest, float(np.min(speeds)))
         seg_lengths[lo : lo + starts.size] = speeds @ weights
         del speeds
+    _check_regular(slowest, "on the trace range")
     np.cumsum(seg_lengths, out=seg_lengths)
     failure = None  # raised only if no sample tangent fails its check
     try:
@@ -256,7 +263,6 @@ def trace(curve: ParamCurve, cfg: RollConfig, t_from: float, t_to: float,
     program = curve.program("x", "y", "dx", "dy")
     trochoid = np.empty(ts.shape, dtype=complex)
     rotation_first = trochoid.nbytes >= _ELISION_BYTES
-    slowest = math.inf
     for lo in range(0, ts.size, _TRACE_BLOCK):
         block = slice(lo, lo + _TRACE_BLOCK)
         x, y, dx, dy = program(ts[block])

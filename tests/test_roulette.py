@@ -226,6 +226,14 @@ class TestTrace:
         with pytest.raises(RegularityError, match="not finite"):
             trace(base, RollConfig(1.0, t0=-1.0), -1.0, 1.0, 2 * _TRACE_BLOCK + 1)
 
+    @pytest.mark.parametrize("samples", [5_001, 8_193, 16_385, 40_001])
+    def test_non_finite_node_is_reported_before_a_vanishing_one(self, samples):
+        # alpha'(-0.5) = 0 and y'(0.5) = nan, in one block of Gauss nodes or
+        # in two, whatever the sample count
+        base = ParamCurve("(t+0.5)^3", "(t+0.5)^3*(1 + sqrt((t-0.5)^2 - 1e-8))", domain=(-1.0, 1.0))
+        with pytest.raises(RegularityError, match="not finite"):
+            trace(base, RollConfig(1.0, t0=-1.0), -1.0, 1.0, samples)
+
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             trace(line(), RollConfig(1.0), 0.0, 1.0, 1)
