@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import find_roots, integrate
+from .numerics import find_roots, integrate, linspace
 from .polar import PolarCurve, Piece
 
 TWO_PI = 2.0 * math.pi
@@ -34,7 +34,7 @@ class SectorRegion:
             raise ValueError("empty sector interval")
         if b - a > TWO_PI + 1e-9:
             raise ValueError("sector interval wider than a full turn")
-        samples = np.linspace(a, b, 1024)
+        samples = linspace(a, b, 1024)
         if float(np.min(self.boundary.eval_many(samples))) < -_BOUNDARY_SLACK:
             raise ValueError("boundary must be non-negative on the interval")
 
@@ -43,7 +43,7 @@ class SectorRegion:
         return cls(piece.curve, piece.interval)
 
     def max_radius(self) -> float:
-        samples = np.linspace(self.interval[0], self.interval[1], 1024)
+        samples = linspace(self.interval[0], self.interval[1], 1024)
         return float(np.max(self.boundary.eval_many(samples)))
 
     def contains(self, z) -> np.ndarray:

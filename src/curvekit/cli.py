@@ -24,6 +24,7 @@ from .area import (
     rose_intersection_area,
 )
 from .intersect import IdenticalCurvesError, intersections
+from .numerics import linspace
 from .polar import (
     PolarCurve,
     is_reflection_symmetric,
@@ -293,11 +294,11 @@ def cmd_roulette(args) -> int:
         t0=_parse_number(args.t0, "--t0") if args.t0 is not None else t_from,
     )
     points = trace(base, cfg, t_from, t_to, args.samples)
-    ts = np.linspace(t_from, t_to, args.samples)
+    ts = linspace(t_from, t_to, args.samples)
     if args.format == "csv":
         _emit(_csv_trace(ts, points), args.output)
     else:
-        base_points = base.points_many(np.linspace(t_from, t_to, max(args.samples, 256)))
+        base_points = base.points_many(linspace(t_from, t_to, max(args.samples, 256)))
         _emit(_svg_document([("#888888", base_points), ("#b01010", points)]), args.output)
     return 0
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import POLE_MAGNITUDE, find_roots, symmetric_hausdorff
+from .numerics import POLE_MAGNITUDE, find_roots, linspace, symmetric_hausdorff
 from .polar import PolarCurve
 
 ZERO_RADIUS_TOL = 1e-9
@@ -60,7 +60,7 @@ def graph_points(curve: PolarCurve, samples: int = _GRAPH_SAMPLES) -> np.ndarray
     """Dense sample of the full polar graph (over one period window),
     without the samples that fall on a pole."""
     a, b = curve.period_window()
-    thetas = np.linspace(a, b, samples, endpoint=False)
+    thetas = linspace(a, b, samples, endpoint=False)
     with np.errstate(invalid="ignore"):
         points = curve.points_many(thetas)
     return points[np.isfinite(points)]

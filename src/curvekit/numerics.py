@@ -44,6 +44,33 @@ class RootList:
         return self.roots[i]
 
 
+def linspace(start: float, stop: float, num: int, endpoint: bool = True) -> np.ndarray:
+    """np.linspace(start, stop, num, endpoint) for float bounds, bit for bit.
+
+    The same IEEE operations per element (arange * step + start, the last
+    value set to stop, and numpy's division first when the step underflows
+    to zero), without np.linspace's dtype and array handling, which costs
+    more than the arithmetic at the sizes used here.
+    """
+    start, stop = float(start), float(stop)
+    div = num - 1 if endpoint else num
+    delta = stop - start
+    xs = np.arange(num, dtype=float)
+    if div > 0:
+        step = delta / div
+        if step == 0.0:  # subnormal step
+            xs /= div
+            xs *= delta
+        else:
+            xs *= step
+    else:
+        xs *= delta
+    xs += start
+    if endpoint and num > 1:
+        xs[-1] = stop
+    return xs
+
+
 def _eval_grid(f, xs):
     ys = f(xs)
     ys = np.asarray(ys, dtype=float)
@@ -62,41 +89,47 @@ def _chandrupatla(f, lo, hi, flo, fhi, tol, max_iter=200):
     its root is the bracket end with the smaller |f|.
     """
     roots = np.empty(lo.shape)
+    if not lo.size:
+        return roots
     open_ = np.arange(lo.size)
     x1, f1 = lo, flo      # newest sample
     x2, f2 = hi, fhi      # other end of the bracket
+    dx = x2 - x1
     t = np.full(lo.shape, 0.5)
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
-            if not open_.size:
-                break
-            x = x1 + t * (x2 - x1)
+            x = x1 + t * dx
             fx = _eval_grid(f, x)
             same = (fx <= 0) == (f1 <= 0)
             x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
             x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
             x1, f1 = x, fx
-            nearer = np.abs(f1) < np.abs(f2)
-            best = np.where(nearer, x1, x2)
-            width = np.abs(x2 - x1)
-            done = (width < tol) | (np.minimum(np.abs(f1), np.abs(f2)) == 0.0)
-            roots[open_] = best
-            keep = ~done
-            open_ = open_[keep]
-            x1, f1, x2, f2, x3, f3, width = (
-                v[keep] for v in (x1, f1, x2, f2, x3, f3, width)
-            )
+            a1, a2 = np.abs(f1), np.abs(f2)
+            roots[open_] = np.where(a1 < a2, x1, x2)
+            dx = x2 - x1
+            width = np.abs(dx)
+            done = (width < tol) | (np.minimum(a1, a2) == 0.0)
+            if np.count_nonzero(done):
+                keep = ~done
+                if not keep.any():
+                    break
+                open_ = open_[keep]
+                x1, f1, x2, f2, x3, f3, dx, width = (
+                    v[keep] for v in (x1, f1, x2, f2, x3, f3, dx, width)
+                )
+            f12, f32 = f1 - f2, f3 - f2
             xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            alpha = (x3 - x1) / (x2 - x1)
-            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            phi = f12 / f32
+            alpha = (x3 - x1) / dx
+            rest = 1.0 - phi
+            iqi = (phi * phi < xi) & (rest * rest < 1.0 - xi)
             t = np.where(
                 iqi,
-                f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
+                f1 / f12 * f3 / f32 - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
                 0.5,
             )
             edge = 0.5 * tol / width
-            t = np.clip(t, edge, 1.0 - edge)
+            t = np.minimum(np.maximum(t, edge), 1.0 - edge)
     return roots
 
 
@@ -153,28 +186,32 @@ def find_roots(
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
 
-    xs = np.linspace(a, b, grid_n + 1)
+    xs = linspace(a, b, grid_n + 1)
     ys = _eval_grid(f, xs)
-    ok = np.isfinite(ys) & (np.abs(ys) < POLE_MAGNITUDE)
+    ay = np.abs(ys)
+    ok = ay < POLE_MAGNITUDE  # false on NaN and inf too
     sign = np.sign(ys)
     crossing = ok[:-1] & ok[1:] & (sign[:-1] * sign[1:] < 0)
     # touching zeros: local minima of |f| under the prefilter whose
     # neighbours are valid and not across a sign change
-    ay = np.abs(ys)
-    left = np.r_[True, ok[:-1] & (ay[:-1] >= ay[1:]) & ~crossing]
-    right = np.r_[ok[1:] & (ay[1:] >= ay[:-1]) & ~crossing, True]
-    touch = np.nonzero(ok & (ay > 0.0) & (ay < TANGENTIAL_PREFILTER) & left & right)[0]
-    idx = np.nonzero(crossing)[0]
+    flat = ~crossing
+    touch = (ay > 0.0) & (ay < TANGENTIAL_PREFILTER)
+    touch[1:] &= ok[:-1] & (ay[:-1] >= ay[1:]) & flat
+    touch[:-1] &= ok[1:] & (ay[1:] >= ay[:-1]) & flat
+    touch = touch.nonzero()[0]
+    idx = crossing.nonzero()[0]
+    exact = xs[ys == 0.0]
+    if not (idx.size or touch.size or exact.size):
+        return RootList((), ())
 
     refined = np.concatenate([
         _chandrupatla(f, xs[idx], xs[idx + 1], ys[idx], ys[idx + 1], tol),
         _golden_abs_min(f, xs[np.maximum(touch - 1, 0)], xs[np.minimum(touch + 1, grid_n)], tol),
     ])
     residual = np.abs(_eval_grid(f, refined)) if refined.size else refined
-    gate = np.where(np.arange(refined.size) < idx.size, RESIDUAL_GATE, TANGENTIAL_GATE)
-    passed = residual < gate
+    passed = residual < TANGENTIAL_GATE
+    passed[:idx.size] = residual[:idx.size] < RESIDUAL_GATE
 
-    exact = xs[ok & (ys == 0.0)]
     candidates = np.concatenate([exact, refined[passed]])
     values = np.concatenate([np.zeros(exact.size), residual[passed]])
     order = np.argsort(candidates, kind="stable")
@@ -241,7 +278,7 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
         return 0.0
     if b < a:
         return -integrate(f, b, a, tol)
-    edges = np.linspace(a, b, _START_PANELS + 1)
+    edges = linspace(a, b, _START_PANELS + 1)
     lo, hi = edges[:-1], edges[1:]
     accepted: list[float] = []
     for _ in range(_ROUND_CAP):
@@ -281,9 +318,18 @@ def symmetric_hausdorff(za, zb, bound=math.inf):
     compares every point only with the points within 2*bound of it on that
     axis, where any neighbour closer than bound lies.  Each distance is
     np.abs of a complex difference and only min and max combine them.  The
-    second direction is skipped once the first reaches bound.  The points
-    must be finite.
+    second direction is skipped once the first reaches bound.  Before any
+    of that, the clouds' extreme coordinates are compared: if the smallest
+    (or largest) real (or imaginary) parts differ by at least bound, that
+    gap is returned.  It is a lower bound of the computed distance, because
+    |Re d| <= |d| holds in floating point too.  The points must be finite.
     """
+    za, zb = (np.asarray(z, dtype=complex).reshape(-1) for z in (za, zb))
+    if not (za.size and zb.size):
+        raise ValueError("empty point set")
+    gap = max(abs(p - q) for p, q in zip(_box(za), _box(zb)))
+    if gap >= bound:
+        return float(gap)
     za, zb = _distinct(za), _distinct(zb)
     found = 0.0
     for z, other in ((za, zb), (zb, za)):
@@ -293,11 +339,14 @@ def symmetric_hausdorff(za, zb, bound=math.inf):
     return found
 
 
+def _box(z):
+    """Smallest and largest real and imaginary parts of z."""
+    return z.real.min(), z.real.max(), z.imag.min(), z.imag.max()
+
+
 def _distinct(z):
     """The points of z without exact duplicates, sorted by real part first."""
-    z = np.sort(np.asarray(z, dtype=complex).reshape(-1))
-    if z.size == 0:
-        raise ValueError("empty point set")
+    z = np.sort(z)
     return z[np.concatenate(([True], z[1:] != z[:-1]))]
 
 

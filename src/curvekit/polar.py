@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from .numerics import POLE_MAGNITUDE, find_roots, symmetric_hausdorff
+from .numerics import POLE_MAGNITUDE, find_roots, linspace, symmetric_hausdorff
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,7 +119,7 @@ class PolarCurve:
         if self._period_searched >= max_multiple:
             return None
         for n in range(self._period_searched + 1, max_multiple + 1):
-            thetas = np.linspace(0.0, n * math.pi, RULE_SAMPLES, endpoint=False)
+            thetas = linspace(0.0, n * math.pi, RULE_SAMPLES, endpoint=False)
             missed = _rule_misses(self, thetas, thetas, (n,))
             self._period_searched = n
             if not missed.any():
@@ -175,7 +175,7 @@ def _holds_for_some_n(curve: PolarCurve, max_n: int | None, reflect: bool,
     if max_n is None:
         max_n = 2 * n_period
     window = n_period * math.pi if n_period is not None else TWO_PI
-    thetas = np.linspace(0.0, window, RULE_SAMPLES, endpoint=False)
+    thetas = linspace(0.0, window, RULE_SAMPLES, endpoint=False)
     base = (2.0 * theta0 - thetas) if reflect else (thetas + theta0)
     return not _rule_misses(curve, thetas, base, range(max_n + 1)).any()
 
@@ -207,23 +207,27 @@ class Piece:
     traced_twice: bool
 
     def sample_points(self, n: int = PIECE_SAMPLES) -> np.ndarray:
-        thetas = np.linspace(self.interval[0], self.interval[1], n)
+        thetas = linspace(self.interval[0], self.interval[1], n)
         return self.curve.points_many(thetas)
 
 
-def _transformed_negative(curve: PolarCurve, lo: float, hi: float) -> tuple[PolarCurve, float, float]:
+def _on(curve: PolarCurve, lo: float, hi: float) -> PolarCurve:
+    """The same radius function on [lo, hi], sharing the compiled program."""
+    piece = PolarCurve(curve.radius, curve.params, (lo, hi), text=curve.text)
+    piece._program = curve.program
+    return piece
+
+
+def _half_turn(curve: PolarCurve, forward: bool) -> PolarCurve:
     # On a stretch where f <= 0 the same plane points are g(phi) e^(i phi)
-    # with g(phi) = -f(phi - pi) on [lo + pi, hi + pi].  If that window would
-    # start at or beyond 2*pi, take the equivalent branch one turn earlier:
-    # g(phi) = -f(phi + pi) on [lo - pi, hi - pi].
-    if lo + math.pi >= TWO_PI - 1e-9:
-        shift = _expr.add(_expr.Var(), _expr.Const(math.pi))
-        lo2, hi2 = lo - math.pi, hi - math.pi
-    else:
+    # with g(phi) = -f(phi - pi) on [lo + pi, hi + pi] (forward), or
+    # g(phi) = -f(phi + pi) on [lo - pi, hi - pi], the branch one turn
+    # earlier, for a window that would start at or beyond 2*pi.
+    if forward:
         shift = _expr.sub(_expr.Var(), _expr.Const(math.pi))
-        lo2, hi2 = lo + math.pi, hi + math.pi
-    g = _expr.neg(_expr.substitute_var(curve.radius, shift))
-    return PolarCurve(g, curve.params, (lo2, hi2)), lo2, hi2
+    else:
+        shift = _expr.add(_expr.Var(), _expr.Const(math.pi))
+    return PolarCurve(_expr.neg(_expr.substitute_var(curve.radius, shift)), curve.params)
 
 
 def positive_pieces(curve: PolarCurve) -> tuple[Piece, ...]:
@@ -231,10 +235,12 @@ def positive_pieces(curve: PolarCurve) -> tuple[Piece, ...]:
 
     Stretches where f is negative are re-expressed through the half-turn
     identity; pieces whose point set duplicates an earlier piece (the curve
-    is traced again) are flagged traced_twice.
+    is traced again) are flagged traced_twice.  The pieces share the
+    curve's compiled program, and the negative ones share one program per
+    half-turn direction.
     """
     a, b = curve.domain
-    probe = np.linspace(a, b, 2048)
+    probe = linspace(a, b, 2048)
     vals = curve.eval_many(probe)
     if not np.all(np.isfinite(vals)):
         raise _expr.EvalError("curve evaluation failed on its domain")
@@ -250,8 +256,9 @@ def positive_pieces(curve: PolarCurve) -> tuple[Piece, ...]:
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-9:
             continue
-        mid_vals = curve.eval_many(np.linspace(lo, hi, 17)[1:-1])
-        sign = 1 if float(np.median(mid_vals)) >= 0.0 else -1
+        # the sign of the median of 15 inner samples; NaN counts as negative
+        mid_vals = np.sort(curve.eval_many(linspace(lo, hi, 17)[1:-1]))
+        sign = 1 if mid_vals[7] >= 0.0 and not np.isnan(mid_vals[-1]) else -1
         if raw and raw[-1][2] == sign:
             raw[-1] = (raw[-1][0], hi, sign)
         else:
@@ -272,18 +279,21 @@ def positive_pieces(curve: PolarCurve) -> tuple[Piece, ...]:
             last = raw.pop()
             raw.append((last[0], first[1] + (b - a), last[2]))
 
+    half_turns: dict[bool, PolarCurve] = {}
     pieces: list[Piece] = []
     for lo, hi, sign in raw:
-        if sign >= 0:
-            piece_curve = PolarCurve(curve.radius, curve.params, (lo, hi), text=curve.text)
-            interval = (lo, hi)
+        if sign < 0:
+            forward = lo + math.pi < TWO_PI - 1e-9
+            if forward not in half_turns:
+                half_turns[forward] = _half_turn(curve, forward)
+            lo, hi = (lo + math.pi, hi + math.pi) if forward else (lo - math.pi, hi - math.pi)
+            piece_curve = _on(half_turns[forward], lo, hi)
         else:
-            piece_curve, lo2, hi2 = _transformed_negative(curve, lo, hi)
-            interval = (lo2, hi2)
-        samples = np.linspace(interval[0], interval[1], 1024)
+            piece_curve = _on(curve, lo, hi)
+        samples = linspace(lo, hi, 1024)
         if float(np.min(piece_curve.eval_many(samples))) < -1e-9:
             raise ValueError("piece is not non-negative; zero isolation failed")
-        pieces.append(Piece(piece_curve, interval, traced_twice=False))
+        pieces.append(Piece(piece_curve, (lo, hi), traced_twice=False))
 
     pieces.sort(key=lambda p: p.interval)
     flagged: list[Piece] = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from .numerics import G7_NODES, G7_WEIGHTS, integrate
+from .numerics import G7_NODES, G7_WEIGHTS, integrate, linspace
 
 REGULARITY_TOL = 1e-9
 
@@ -66,7 +66,7 @@ class ParamCurve:
         self.dx = dx if dx is not None else _expr.differentiate(self.x)
         self.dy = dy if dy is not None else _expr.differentiate(self.y)
         self._programs = {}
-        _check_regular(self.speed_many(np.linspace(a, b, 1024)), "on the domain")
+        _check_regular(self.speed_many(linspace(a, b, 1024)), "on the domain")
 
     def program(self, *names: str) -> _expr.Program:
         """One program for the named expressions among x, y, dx, dy, built
@@ -234,7 +234,7 @@ def trace(curve: ParamCurve, cfg: RollConfig, t_from: float, t_to: float,
     a, b = curve.domain
     if t_from < a - DOMAIN_TOL or t_to > b + DOMAIN_TOL or not t_from < t_to:
         raise ValueError("trace range outside the curve domain")
-    ts = np.linspace(t_from, t_to, int(samples))
+    ts = linspace(t_from, t_to, int(samples))
     half = 0.5 * (ts[1] - ts[0])
     weights = half * G7_WEIGHTS
 

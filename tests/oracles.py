@@ -9,6 +9,10 @@
 - bisection_roots is the plain reference for numerics.find_roots: the same
   grid, gates and dedupe rule, with vectorized bisection for sign changes
   and a scalar golden-section search per touching zero.
+- frozen_find_roots is numerics.find_roots as it was before its per-call
+  costs were cut, kept verbatim (np.linspace grid, np.r_ masks, np.clip,
+  compaction every round); the lean version must return the same roots and
+  residuals bit for bit.
 - brute_hausdorff is the plain reference for numerics.symmetric_hausdorff:
   every point pair in chunks of 1,024 rows, each distance np.abs of a complex
   difference, so the bounded sweep must match it bit for bit below its bound.
@@ -215,6 +219,152 @@ def bisection_roots(f, a, b, tol=DEFAULT_TOL, right_open=False):
             continue
         roots.append(root)
     return [float(r) for r in roots]
+
+
+# Frozen copy of numerics.find_roots and its two refiners from before their
+# per-call costs were cut (np.linspace grid, np.r_ masks, a gate array,
+# np.clip and compaction every Chandrupatla round).  find_roots must return
+# the same roots and residuals bit for bit.
+
+def _frozen_eval_grid(f, xs):
+    ys = f(xs)
+    ys = np.asarray(ys, dtype=float)
+    if ys.shape != xs.shape:
+        raise ValueError("function must map arrays to arrays")
+    return ys
+
+
+def _frozen_chandrupatla(f, lo, hi, flo, fhi, tol, max_iter=200):
+    """Vectorized Chandrupatla (1997) refinement of sign-change brackets.
+
+    Every round evaluates each open bracket once: at the inverse quadratic
+    interpolation point when the last three samples make it safe, at the
+    midpoint otherwise, and always at least tol/2 inside the bracket.  A
+    bracket closes once it is narrower than tol (or an exact zero is hit);
+    its root is the bracket end with the smaller |f|.
+    """
+    roots = np.empty(lo.shape)
+    open_ = np.arange(lo.size)
+    x1, f1 = lo, flo      # newest sample
+    x2, f2 = hi, fhi      # other end of the bracket
+    t = np.full(lo.shape, 0.5)
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            if not open_.size:
+                break
+            x = x1 + t * (x2 - x1)
+            fx = _frozen_eval_grid(f, x)
+            same = (fx <= 0) == (f1 <= 0)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = x, fx
+            nearer = np.abs(f1) < np.abs(f2)
+            best = np.where(nearer, x1, x2)
+            width = np.abs(x2 - x1)
+            done = (width < tol) | (np.minimum(np.abs(f1), np.abs(f2)) == 0.0)
+            roots[open_] = best
+            keep = ~done
+            open_ = open_[keep]
+            x1, f1, x2, f2, x3, f3, width = (
+                v[keep] for v in (x1, f1, x2, f2, x3, f3, width)
+            )
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = np.where(
+                iqi,
+                f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
+                0.5,
+            )
+            edge = 0.5 * tol / width
+            t = np.clip(t, edge, 1.0 - edge)
+    return roots
+
+
+_FROZEN_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _frozen_golden_abs_min(f, lo, hi, tol, max_iter=200):
+    """Golden-section search for the minimum of |f| on every [lo, hi] at once."""
+    if not lo.size:
+        return lo
+    a, b = lo.copy(), hi.copy()
+    c = b - _FROZEN_INV_PHI * (b - a)
+    d = a + _FROZEN_INV_PHI * (b - a)
+    fc, fd = np.split(np.abs(_frozen_eval_grid(f, np.concatenate([c, d]))), 2)
+    for _ in range(max_iter):
+        i = np.nonzero(b - a >= tol)[0]
+        if not i.size:
+            break
+        shrink_right = fc[i] < fd[i]
+        l, r = i[shrink_right], i[~shrink_right]
+        b[l], d[l], fd[l] = d[l], c[l], fc[l]
+        c[l] = b[l] - _FROZEN_INV_PHI * (b[l] - a[l])
+        a[r], c[r], fc[r] = c[r], d[r], fd[r]
+        d[r] = a[r] + _FROZEN_INV_PHI * (b[r] - a[r])
+        fx = np.abs(_frozen_eval_grid(f, np.concatenate([c[l], d[r]])))
+        fc[l], fd[r] = fx[:l.size], fx[l.size:]
+    return 0.5 * (a + b)
+
+
+def frozen_find_roots(
+    f,
+    a: float,
+    b: float,
+    grid_n: int | None = None,
+    tol: float = DEFAULT_TOL,
+    right_open: bool = False,
+):
+    """numerics.find_roots as (roots, residuals), each a tuple."""
+    a = float(a)
+    b = float(b)
+    if not a < b:
+        raise ValueError("need a < b")
+    if grid_n is None:
+        grid_n = max(32, int(math.ceil(DEFAULT_GRID_PER_TWO_PI * (b - a) / TWO_PI)))
+    if grid_n < 2:
+        raise ValueError("grid_n must be at least 2")
+
+    xs = np.linspace(a, b, grid_n + 1)
+    ys = _frozen_eval_grid(f, xs)
+    ok = np.isfinite(ys) & (np.abs(ys) < POLE_MAGNITUDE)
+    sign = np.sign(ys)
+    crossing = ok[:-1] & ok[1:] & (sign[:-1] * sign[1:] < 0)
+    # touching zeros: local minima of |f| under the prefilter whose
+    # neighbours are valid and not across a sign change
+    ay = np.abs(ys)
+    left = np.r_[True, ok[:-1] & (ay[:-1] >= ay[1:]) & ~crossing]
+    right = np.r_[ok[1:] & (ay[1:] >= ay[:-1]) & ~crossing, True]
+    touch = np.nonzero(ok & (ay > 0.0) & (ay < TANGENTIAL_PREFILTER) & left & right)[0]
+    idx = np.nonzero(crossing)[0]
+
+    refined = np.concatenate([
+        _frozen_chandrupatla(f, xs[idx], xs[idx + 1], ys[idx], ys[idx + 1], tol),
+        _frozen_golden_abs_min(f, xs[np.maximum(touch - 1, 0)], xs[np.minimum(touch + 1, grid_n)], tol),
+    ])
+    residual = np.abs(_frozen_eval_grid(f, refined)) if refined.size else refined
+    gate = np.where(np.arange(refined.size) < idx.size, RESIDUAL_GATE, TANGENTIAL_GATE)
+    passed = residual < gate
+
+    exact = xs[ok & (ys == 0.0)]
+    candidates = np.concatenate([exact, refined[passed]])
+    values = np.concatenate([np.zeros(exact.size), residual[passed]])
+    order = np.argsort(candidates, kind="stable")
+    gap = DEDUPE_FACTOR * tol
+    roots: list[float] = []
+    residuals: list[float] = []
+    for root, value in zip(candidates[order].tolist(), values[order].tolist()):
+        if right_open and abs(root - b) <= gap:
+            continue
+        if roots and root - roots[-1] < gap:
+            if value < residuals[-1]:
+                roots[-1] = root
+                residuals[-1] = value
+            continue
+        roots.append(root)
+        residuals.append(value)
+    return tuple(roots), tuple(residuals)
 
 
 def brute_hausdorff(za, zb):

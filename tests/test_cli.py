@@ -203,6 +203,25 @@ class TestDecomposeCommand:
         assert len(payload["pieces"]) == 2
         assert sum(p["traced_twice"] for p in payload["pieces"]) == 1
 
+    # sha256 of stdout, recorded when every piece compiled its own program;
+    # sin(4*theta) on [0, 2*pi] takes both half-turn branches
+    DIGESTS = {
+        ("cos(theta/2)", "--domain", "0:6.2832"):
+            "dae857d0c7ccd59a63247e677dc7d6ff3516e0c9223bdc9a503745112a094d9f",
+        ("1 - lambda*sin(theta)", "--param", "lambda=2"):
+            "fe75372b8b60fa3de4948e545986de4d7f0fe8c70325d8c45732cea10539937d",
+        ("sin(4*theta)", "--domain", "0:2*pi"):
+            "963427507a3f0917f3efc807304df264971e813050e1eefd49fe4759118c80dd",
+        ("cos(3*theta/5)",):
+            "f6a913cd66e7cabe634037f58e03c4eb515eb7bb6bb463fa7783e8162d50c5b0",
+    }
+
+    @pytest.mark.parametrize("args", list(DIGESTS), ids=lambda args: args[0])
+    def test_output_bytes(self, args):
+        code, out = run_inprocess(["decompose", "--c1", *args])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[args]
+
 
 class TestRouletteCommand:
     def test_cycloid_csv_matches_closed_form(self):

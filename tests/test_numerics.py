@@ -16,10 +16,11 @@ from curvekit.numerics import (
     RootList,
     find_roots,
     integrate,
+    linspace,
     symmetric_hausdorff,
 )
-from curvekit.polar import PolarCurve
-from oracles import bisection_roots, brute_hausdorff
+from curvekit.polar import PolarCurve, positive_pieces
+from oracles import bisection_roots, brute_hausdorff, frozen_find_roots
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,6 +123,104 @@ def reference_equations():
                  "cos(theta - 0.3) - 1", "1 - sin(theta)", "cos(3*theta) - 1",
                  "sin(2*theta)^2", "(cos(theta) - 0.4)^2"):
         yield radius(text), TWO_PI
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def frozen_reference_equations():
+    """(f, a, b, right_open) as the intersection, origin and decomposition
+    code hands them to find_roots."""
+    def families(t1, t2, params=None):
+        c1, c2 = PolarCurve(t1, params), PolarCurve(t2, params)
+        n1, n2 = c1.period_multiple_of_pi(), c2.period_multiple_of_pi()
+        window = math.pi * math.lcm(n1, n2, 2)
+        for m in range(2 * ((n2 + 1) // 2)):
+            def equation(th, m=m):
+                with np.errstate(invalid="ignore"):
+                    return c1.eval_many(th) - (-1.0) ** m * c2.eval_many(th + m * math.pi)
+            yield equation, 0.0, window, True
+        for c, n in ((c1, n1), (c2, n2)):
+            yield c.eval_many, 0.0, n * math.pi, False
+
+    for n in range(1, 13):
+        yield from families(f"sin({n}*theta)", f"cos({n}*theta)")
+    for m in range(1, 10):
+        for n in range(1, 10):
+            if math.gcd(m, n) == 1 and (m, n) != (1, 1):
+                yield from families(f"cos({m}*theta)", f"sin({n}*theta)")
+    for lam in (0.5, 0.9, 1.0, 1.1, 2.0, 3.0):
+        yield from families("1 - lambda*sin(theta)", "1 + lambda*cos(theta)", {"lambda": lam})
+    for text in ("tan(theta)", "1/cos(theta)", "tan(theta) - 1/cos(theta)", "tan(3*theta) - 1",
+                 "1 + cos(theta)", "sin(theta)^2"):
+        curve = PolarCurve(text)
+        for a, b in ((0.0, TWO_PI), (-1.0, 2.5), (math.pi / 2, 3 * math.pi)):
+            yield curve.eval_many, a, b, False
+            yield curve.eval_many, a, b, True
+
+
+class TestFrozenReference:
+    """find_roots returns the frozen copy's roots and residuals bit for bit."""
+
+    def test_fixed_equations(self):
+        count = roots = 0
+        for f, a, b, right_open in frozen_reference_equations():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = find_roots(f, a, b, right_open=right_open)
+                expected_roots, expected_residuals = frozen_find_roots(f, a, b, right_open=right_open)
+            assert bits(got.roots) == bits(expected_roots)
+            assert bits(got.residuals) == bits(expected_residuals)
+            count += 1
+            roots += len(got)
+        assert count == 324 and roots > 2500
+
+    @pytest.mark.parametrize("grid_n", [2, 7, 64, None])
+    def test_random_trigonometric_polynomials_and_their_squares(self, grid_n):
+        rng = np.random.default_rng(20261019)
+        for _ in range(40):
+            k = int(rng.integers(1, 7))
+            c, s = rng.normal(size=k + 1), rng.normal(size=k + 1)
+            f = lambda t, c=c, s=s: sum(c[j] * np.cos(j * t) + s[j] * np.sin(j * t)
+                                        for j in range(len(c)))
+            a = float(rng.uniform(-3.0, 3.0))
+            b = a + float(rng.uniform(0.1, 13.0))
+            for g in (f, lambda t, f=f: f(t) ** 2):  # squares only touch zero
+                got = find_roots(g, a, b, grid_n=grid_n)
+                expected_roots, expected_residuals = frozen_find_roots(g, a, b, grid_n=grid_n)
+                assert bits(got.roots) == bits(expected_roots)
+                assert bits(got.residuals) == bits(expected_residuals)
+
+
+class TestLinspace:
+    @staticmethod
+    def check(start, stop, num, endpoint=True):
+        got = linspace(start, stop, num, endpoint)
+        expected = np.linspace(start, stop, num, endpoint=endpoint)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (start, stop, num)
+
+    def test_random_bounds(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(400):
+            start, stop = rng.normal(size=2) * 10.0 ** rng.integers(-4, 5, size=2)
+            num = int(rng.choice([0, 1, 2, 3, 17, 256, 1024, 2049, 3000]))
+            self.check(float(start), float(stop), num, bool(rng.integers(0, 2)))
+
+    @pytest.mark.parametrize("endpoint", [True, False])
+    @pytest.mark.parametrize("num", [0, 1, 2, 3, 5, 1000, 3000])
+    def test_edge_bounds(self, num, endpoint):
+        for start, stop in ((1.5, 1.5), (3.0, -2.0), (0.0, 2 * math.pi), (-0.0, 0.0),
+                            (0.0, 1e-320), (1.0, 1.0 + 5e-16), (0.0, 5e-324)):
+            self.check(start, stop, num, endpoint)
+
+    def test_subnormal_step_takes_numpys_division_first_branch(self):
+        # 100 * 5e-324 / 2999 underflows to zero, so numpy divides the
+        # indices first and scales them by the width after
+        stop = 100 * 5e-324
+        assert stop / 2999 == 0.0
+        self.check(0.0, stop, 3000)
+        assert linspace(0.0, stop, 3000)[1500] > 0.0
 
 
 class TestIntegrate:
@@ -252,6 +351,13 @@ class TestHausdorff:
         yield self._graphs("0*theta", "0*theta")
         yield self._graphs("1/cos(theta)", "1/cos(theta)")
         yield self._graphs("1/cos(theta)", "2/cos(theta)")
+        # every pair of petals, as positive_pieces compares them
+        for text in ("sin(4*theta)", "cos(6*theta)"):
+            petals = [piece.sample_points()
+                      for piece in positive_pieces(PolarCurve(text, domain=(0.0, TWO_PI)))]
+            for i, za in enumerate(petals):
+                for zb in petals[:i]:
+                    yield za, zb
 
     @staticmethod
     def _graphs(t1, t2, params=None):
@@ -271,3 +377,19 @@ class TestHausdorff:
                 assert (got < bound) == (exact < bound)
                 if exact < bound:
                     assert got == exact
+
+    def test_bounding_box_exit_is_a_lower_bound(self):
+        exits = sweeps = 0
+        for za, zb in self._cases():
+            exact = brute_hausdorff(za, zb)
+            gap = max(abs(float(extreme(a)) - float(extreme(b)))
+                      for a, b in ((za.real, zb.real), (za.imag, zb.imag))
+                      for extreme in (np.min, np.max))
+            for bound in (1e-6, 1e-3, 0.1):
+                got = symmetric_hausdorff(za, zb, bound)
+                if gap >= bound:
+                    assert got == gap and bound <= got <= exact
+                    exits += 1
+                else:
+                    sweeps += 1
+        assert exits > 100 and sweeps > 100

@@ -221,6 +221,25 @@ class TestPositivePieces:
         assert len(dec) == 4 and not any(p.traced_twice for p in dec)
         assert bounds == [PIECE_MATCH_TOL] * (0 + 1 + 2 + 3)
 
+    def test_pieces_share_compiled_programs(self, monkeypatch):
+        # eight pieces: the curve's own program, and one per half-turn branch
+        compiled = []
+        compile_program = polar._expr.compile_program
+
+        def counting(*args, **kwargs):
+            compiled.append(args[0])
+            return compile_program(*args, **kwargs)
+
+        monkeypatch.setattr(polar._expr, "compile_program", counting)
+        dec = positive_pieces(PolarCurve("sin(4*theta)", domain=(0.0, TWO_PI)))
+        assert len(dec) == 8
+        assert len(compiled) <= 3
+        assert len({p.curve.text for p in dec}) == 3
+        for piece in dec:
+            phis = np.linspace(*piece.interval, 64)
+            expected = np.sin(4.0 * phis) * (1.0 if piece.curve.text == "sin(4*theta)" else -1.0)
+            assert np.max(np.abs(piece.curve.eval_many(phis) - expected)) < 1e-12
+
     def test_degenerate_zero_curve_single_piece(self):
         dec = positive_pieces(PolarCurve("0"))
         assert len(dec) == 1
