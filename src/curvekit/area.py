@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import find_roots, integrate, linspace
+from .numerics import TWO_PI, find_roots, integrate, linspace
 from .polar import PolarCurve, Piece
 
-TWO_PI = 2.0 * math.pi
-_AREA_TOL = 1e-10
 _BOUNDARY_SLACK = 1e-9
 
 
@@ -70,7 +68,7 @@ class SectorRegion:
 def loop_area(region: SectorRegion) -> float:
     """(1/2) integral of f^2 over the sector."""
     f = region.boundary.eval_many
-    return 0.5 * integrate(lambda th: f(th) ** 2, *region.interval, _AREA_TOL)
+    return 0.5 * integrate(lambda th: f(th) ** 2, *region.interval)
 
 
 def _overlap_windows(a: tuple[float, float], b: tuple[float, float]):
@@ -110,7 +108,7 @@ def region_intersection_area(a: SectorRegion, b: SectorRegion) -> float:
         for p, q in zip(cuts[:-1], cuts[1:]):
             if q - p < 1e-12:
                 continue
-            total += 0.5 * integrate(integrand, p, q, _AREA_TOL)
+            total += 0.5 * integrate(integrand, p, q)
     return total
 
 

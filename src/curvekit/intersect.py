@@ -5,9 +5,13 @@ equality rule, one of the scalar equation families
 
     f(theta) = (-1)^m g(theta + m*pi)     (same ray for even m, opposite for odd)
 
-with theta swept over a window long enough to trace both graphs and m over
-the distinct pi-offsets of the second curve's period.  The origin carries
-no angle and is tested separately: it is common exactly when each radius
+with theta over one period [0, n1*pi) of f and 0 <= m < n2, where n2*pi is
+the period of g.  That is complete: a common point P != 0 is f(theta)
+e^(i theta) for some theta in f's period, the rule gives an integer k with
+f(theta) = (-1)^k g(theta + k*pi), and k reduces mod n2 because
+(-1)^n2 g(theta + n2*pi) = g(theta).  Each point is reported with its
+smallest witnesses theta1 and theta2 = theta1 + m*pi.  The origin carries no
+angle and is tested separately: it is common exactly when each radius
 function vanishes somewhere.
 """
 
@@ -56,22 +60,18 @@ class IntersectionResult:
         return pts
 
 
-def graph_points(curve: PolarCurve, samples: int = _GRAPH_SAMPLES) -> np.ndarray:
+def graph_points(curve: PolarCurve) -> np.ndarray:
     """Dense sample of the full polar graph (over one period window),
     without the samples that fall on a pole."""
-    a, b = curve.period_window()
-    thetas = linspace(a, b, samples, endpoint=False)
+    thetas = linspace(*curve.period_window(), _GRAPH_SAMPLES, endpoint=False)
     with np.errstate(invalid="ignore"):
         points = curve.points_many(thetas)
     return points[np.isfinite(points)]
 
 
-def origin_on_curve(curve: PolarCurve, window: tuple[float, float] | None = None) -> float | None:
-    """Smallest angle in the window where the radius vanishes, if any."""
-    if window is None:
-        n = curve.period_multiple_of_pi()
-        window = (0.0, n * math.pi) if n is not None else curve.domain
-    roots = find_roots(curve.eval_many, window[0], window[1])
+def origin_on_curve(curve: PolarCurve) -> float | None:
+    """Smallest angle in the period window where the radius vanishes, if any."""
+    roots = find_roots(curve.eval_many, *curve.period_window())
     for theta, residual in zip(roots.roots, roots.residuals):
         if residual < ZERO_RADIUS_TOL:
             return float(theta)
@@ -84,9 +84,8 @@ def intersections(c1: PolarCurve, c2: PolarCurve) -> IntersectionResult:
     Raises IdenticalCurvesError when the sampled graphs coincide, and
     ValueError when either curve has no finite polar period.
     """
-    n1 = c1.period_multiple_of_pi()
     n2 = c2.period_multiple_of_pi()
-    if n1 is None or n2 is None:
+    if c1.period_multiple_of_pi() is None or n2 is None:
         raise ValueError("both curves need a finite polar period")
 
     g1 = graph_points(c1)
@@ -96,16 +95,15 @@ def intersections(c1: PolarCurve, c2: PolarCurve) -> IntersectionResult:
             f"curves {c1.text!r} and {c2.text!r} trace the same graph"
         )
 
-    window = math.pi * math.lcm(n1, n2, 2)
     candidates: list[IntersectionPoint] = []
-    for m in range(2 * ((n2 + 1) // 2)):
+    for m in range(n2):
         shift = m * math.pi
 
         def equation(th):
             with np.errstate(invalid="ignore"):  # inf - inf at common poles
                 return c1.eval_many(th) - (-1.0) ** m * c2.eval_many(th + shift)
 
-        theta1 = np.array(find_roots(equation, 0.0, window, right_open=True).roots)
+        theta1 = np.array(find_roots(equation, *c1.period_window(), right_open=True).roots)
         r1 = c1.eval_many(theta1)
         # the origin is tested apart, and a root on a pole of c1 is no point
         keep = (np.abs(r1) >= ZERO_RADIUS_TOL) & (np.abs(r1) < POLE_MAGNITUDE)

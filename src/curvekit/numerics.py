@@ -25,6 +25,7 @@ TANGENTIAL_GATE = 1e-8
 TANGENTIAL_PREFILTER = 1e-3
 POLE_MAGNITUDE = 1e12
 DEDUPE_FACTOR = 10.0
+_MAX_ROUNDS = 200  # a safety cap: halving a default grid cell reaches DEFAULT_TOL in 25
 
 
 @dataclass(frozen=True)
@@ -79,14 +80,14 @@ def _eval_grid(f, xs):
     return ys
 
 
-def _chandrupatla(f, lo, hi, flo, fhi, tol, max_iter=200):
+def _chandrupatla(f, lo, hi, flo, fhi):
     """Vectorized Chandrupatla (1997) refinement of sign-change brackets.
 
     Every round evaluates each open bracket once: at the inverse quadratic
     interpolation point when the last three samples make it safe, at the
-    midpoint otherwise, and always at least tol/2 inside the bracket.  A
-    bracket closes once it is narrower than tol (or an exact zero is hit);
-    its root is the bracket end with the smaller |f|.
+    midpoint otherwise, and always at least DEFAULT_TOL/2 inside the
+    bracket.  A bracket closes once it is narrower than DEFAULT_TOL (or an
+    exact zero is hit); its root is the bracket end with the smaller |f|.
     """
     roots = np.empty(lo.shape)
     if not lo.size:
@@ -97,7 +98,7 @@ def _chandrupatla(f, lo, hi, flo, fhi, tol, max_iter=200):
     dx = x2 - x1
     t = np.full(lo.shape, 0.5)
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_MAX_ROUNDS):
             x = x1 + t * dx
             fx = _eval_grid(f, x)
             same = (fx <= 0) == (f1 <= 0)
@@ -108,7 +109,7 @@ def _chandrupatla(f, lo, hi, flo, fhi, tol, max_iter=200):
             roots[open_] = np.where(a1 < a2, x1, x2)
             dx = x2 - x1
             width = np.abs(dx)
-            done = (width < tol) | (np.minimum(a1, a2) == 0.0)
+            done = (width < DEFAULT_TOL) | (np.minimum(a1, a2) == 0.0)
             if np.count_nonzero(done):
                 keep = ~done
                 if not keep.any():
@@ -128,7 +129,7 @@ def _chandrupatla(f, lo, hi, flo, fhi, tol, max_iter=200):
                 f1 / f12 * f3 / f32 - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
                 0.5,
             )
-            edge = 0.5 * tol / width
+            edge = 0.5 * DEFAULT_TOL / width
             t = np.minimum(np.maximum(t, edge), 1.0 - edge)
     return roots
 
@@ -136,7 +137,7 @@ def _chandrupatla(f, lo, hi, flo, fhi, tol, max_iter=200):
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_abs_min(f, lo, hi, tol, max_iter=200):
+def _golden_abs_min(f, lo, hi):
     """Golden-section search for the minimum of |f| on every [lo, hi] at once."""
     if not lo.size:
         return lo
@@ -144,8 +145,8 @@ def _golden_abs_min(f, lo, hi, tol, max_iter=200):
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = np.split(np.abs(_eval_grid(f, np.concatenate([c, d]))), 2)
-    for _ in range(max_iter):
-        i = np.nonzero(b - a >= tol)[0]
+    for _ in range(_MAX_ROUNDS):
+        i = np.nonzero(b - a >= DEFAULT_TOL)[0]
         if not i.size:
             break
         shrink_right = fc[i] < fd[i]
@@ -164,7 +165,6 @@ def find_roots(
     a: float,
     b: float,
     grid_n: int | None = None,
-    tol: float = DEFAULT_TOL,
     right_open: bool = False,
 ) -> RootList:
     """All roots of f on [a, b] (or [a, b) when right_open).
@@ -205,8 +205,8 @@ def find_roots(
         return RootList((), ())
 
     refined = np.concatenate([
-        _chandrupatla(f, xs[idx], xs[idx + 1], ys[idx], ys[idx + 1], tol),
-        _golden_abs_min(f, xs[np.maximum(touch - 1, 0)], xs[np.minimum(touch + 1, grid_n)], tol),
+        _chandrupatla(f, xs[idx], xs[idx + 1], ys[idx], ys[idx + 1]),
+        _golden_abs_min(f, xs[np.maximum(touch - 1, 0)], xs[np.minimum(touch + 1, grid_n)]),
     ])
     residual = np.abs(_eval_grid(f, refined)) if refined.size else refined
     passed = residual < TANGENTIAL_GATE
@@ -215,7 +215,7 @@ def find_roots(
     candidates = np.concatenate([exact, refined[passed]])
     values = np.concatenate([np.zeros(exact.size), residual[passed]])
     order = np.argsort(candidates, kind="stable")
-    gap = DEDUPE_FACTOR * tol
+    gap = DEDUPE_FACTOR * DEFAULT_TOL
     roots: list[float] = []
     residuals: list[float] = []
     for root, value in zip(candidates[order].tolist(), values[order].tolist()):
@@ -257,6 +257,7 @@ G7_WEIGHTS = _G7_WEIGHTS[_G7_WEIGHTS > 0.0]
 
 _START_PANELS = 4
 _ROUND_CAP = 40  # halvings reach ~1e-12 of the interval, far below any smooth need
+_PANEL_CAP = 1 << 14  # open panels in a round: smooth integrands keep under 64
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps  # QUADPACK's |K - G| noise level
 
 
@@ -269,8 +270,8 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
     |K15 - G7| is at the rounding floor 50*eps*K15(|f|), and is halved
     otherwise.  The orientation is signed: integrate(f, b, a) ==
     -integrate(f, a, b).  A non-finite sample (the edges catch a pole at a
-    panel end) and panels still open after 40 rounds (a pole or a divergent
-    integral) raise ValueError.
+    panel end), more than 16,384 panels open in one round, or panels still
+    open after 40 rounds (a pole or a divergent integral) raise ValueError.
     """
     a = float(a)
     b = float(b)
@@ -297,9 +298,11 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
         if done.all():
             return math.fsum(accepted)
         lo, hi = lo[~done], hi[~done]
+        if lo.size > _PANEL_CAP:
+            break
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    raise ValueError(f"integral did not converge in {_ROUND_CAP} rounds (pole or divergence)")
+    raise ValueError("integral did not converge (pole or divergence)")
 
 
 # Pairs per distance block: with no bound, 64 rows of a 1,024-point cloud.

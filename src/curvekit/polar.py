@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from .numerics import POLE_MAGNITUDE, find_roots, linspace, symmetric_hausdorff
+from .numerics import POLE_MAGNITUDE, TWO_PI, find_roots, linspace, symmetric_hausdorff
 
-TWO_PI = 2.0 * math.pi
+MAX_PERIOD_MULTIPLE = 64  # the largest polar period searched by default, over pi
 
 # Equality-rule sweeps: samples, and agreement relative to max(1, |f|).
 RULE_SAMPLES = 512
@@ -111,7 +111,7 @@ class PolarCurve:
             (self.domain[0] + delta, self.domain[1] + delta),
         )
 
-    def period_multiple_of_pi(self, max_multiple: int = 64) -> int | None:
+    def period_multiple_of_pi(self, max_multiple: int = MAX_PERIOD_MULTIPLE) -> int | None:
         """Smallest N <= max_multiple with f(theta) = (-1)^N f(theta + N*pi)
         by `_rule_misses` on [0, N*pi): the polar graph repeats after N*pi."""
         if self._period is not None:
@@ -127,14 +127,14 @@ class PolarCurve:
                 return n
         return None
 
-    def period_window(self, max_multiple: int = 64) -> tuple[float, float]:
-        n = self.period_multiple_of_pi(max_multiple)
+    def period_window(self) -> tuple[float, float]:
+        n = self.period_multiple_of_pi()
         if n is None:
-            raise ValueError(f"curve {self.text!r} has no period <= {max_multiple}*pi")
+            raise ValueError(f"curve {self.text!r} has no period <= {MAX_PERIOD_MULTIPLE}*pi")
         return (0.0, n * math.pi)
 
 
-def polar_period(curve: PolarCurve, max_multiple: int = 64) -> int | None:
+def polar_period(curve: PolarCurve, max_multiple: int = MAX_PERIOD_MULTIPLE) -> int | None:
     return curve.period_multiple_of_pi(max_multiple)
 
 
@@ -206,8 +206,8 @@ class Piece:
     interval: tuple[float, float]
     traced_twice: bool
 
-    def sample_points(self, n: int = PIECE_SAMPLES) -> np.ndarray:
-        thetas = linspace(self.interval[0], self.interval[1], n)
+    def sample_points(self) -> np.ndarray:
+        thetas = linspace(self.interval[0], self.interval[1], PIECE_SAMPLES)
         return self.curve.points_many(thetas)
 
 

@@ -96,6 +96,26 @@ class TestIntersectCommand:
         assert payload["origin"] is False
         assert payload["points"] == []
 
+    def test_triple_zero_at_the_origin_is_the_origin_only(self):
+        # sin(2t) - 2cos(t) = 2cos(t)(sin(t) - 1) has a triple zero at
+        # t = pi/2, where both radii vanish: the root is known only to about
+        # eps^(1/3), but no point other than the origin is common
+        code, out = run_inprocess(["intersect", "--c1", "sin(2*theta)", "--c2", "2*cos(theta)"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["origin"] is True
+        assert payload["origin_witnesses"] == pytest.approx([0.0, math.pi / 2], abs=1e-9)
+        assert payload["points"] == []
+
+    def test_crossings_near_the_origin_are_kept(self):
+        # sin(t) = 2sin(t) - 1e-4 at sin(t) = 1e-4: two genuine points 1e-4
+        # from the origin, one each side of the y-axis
+        code, out = run_inprocess(["intersect", "--c1", "sin(theta)", "--c2", "2*sin(theta) - 1e-4"])
+        assert code == 0
+        points = json.loads(out)["points"]
+        assert [(p["x"], p["y"]) for p in points] == [
+            pytest.approx((1e-4, 1e-8), abs=1e-11), pytest.approx((-1e-4, 1e-8), abs=1e-11)]
+
     def test_identical_curves_exit_two(self):
         result = run_subprocess(["intersect", "--c1", "cos(theta)", "--c2", "cos(theta)"])
         assert result.returncode == 2
@@ -221,6 +241,39 @@ class TestDecomposeCommand:
         code, out = run_inprocess(["decompose", "--c1", *args])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[args]
+
+
+class TestReadmeCommandBytes:
+    """sha256 of stdout for the README's commands (the roulettes at 500
+    samples, the SVG on stdout): a change meant to keep the CLI bytes shows
+    it here."""
+
+    DIGESTS = {
+        ("intersect", "--c1", "cos(theta)", "--c2", "1-cos(theta)"):
+            "711a22d72dc425b021a78651a2ca647baac8677401397a19dc03f0ee3945acab",
+        ("area", "--c1", "sin(theta)", "--c2", "cos(theta)"):
+            "4c9c09ae0dfec38fa6161e5acf82d416347d4f38b1c83129324909c3f2607552",
+        ("area", "--rose-N", "2"):
+            "366b7ef0fe9fc3edb65b8867673825b0cd85a317b12f8717461394de9bf02aa1",
+        ("area", "--limacon-lambda", "2"):
+            "8aadcaaf31d2e7fb1db6895f0edb6044cd8010a2e21f64fade6141b8adc82c9a",
+        ("period", "--c1", "cos(theta/2)"):
+            "395d711f2dbb6f783c5cb6e7c3d1a345f96749557838cda830693838409b7956",
+        ("symmetry", "--c1", "cos(3*theta/5)", "--axis", "y"):
+            "330c84dd68e50a30fc0e0ae32d9cb34c4b9226bb873cf26b885525b95fdabeab",
+        ("roulette", "--base", "line", "--radius", "1", "--from", "0", "--to", "12.566",
+         "--samples", "500", "--format", "csv"):
+            "27cb709ea7a676f96dfadbc58e79816a8f457829a1ae21238d2039d71a6823cb",
+        ("roulette", "--base", "circle", "--R", "4", "--radius", "1", "--side", "normal",
+         "--format", "svg", "--samples", "500"):
+            "094e763560d1fcdc1e7d05a8aa7025787297b8d4041621b642dc03b483dd6d5d",
+    }
+
+    @pytest.mark.parametrize("argv", list(DIGESTS), ids=" ".join)
+    def test_stdout_digest(self, argv):
+        code, out = run_inprocess(list(argv))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
 
 
 class TestRouletteCommand:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -20,6 +21,40 @@ SQ3_4 = math.sqrt(3.0) / 4.0
 
 def curve(text, params=None):
     return PolarCurve(text, params)
+
+
+def smallest_witnesses(f, g, z):
+    """Smallest (theta1, theta2) with theta1 in [0, n1*pi), theta2 = theta1 +
+    m*pi for 0 <= m < n2, and f(theta1) e^(i theta1) = z = g(theta2) e^(i theta2),
+    from the phase of z and the scalar evaluator, to 1e-7."""
+    n1, n2 = f.period_multiple_of_pi(), g.period_multiple_of_pi()
+    phase = cmath.phase(z) % (2.0 * math.pi)
+    for k in range(-1, n1):
+        theta1 = phase + k * math.pi
+        if not 0.0 <= theta1 < n1 * math.pi or abs(f.point(theta1) - z) >= 1e-7:
+            continue
+        for m in range(n2):
+            if abs(g.point(theta1 + m * math.pi) - z) < 1e-7:
+                return theta1, theta1 + m * math.pi
+    raise AssertionError(f"no witness pair for {z}")
+
+
+def assert_smallest_witnesses(t1, t2, count):
+    """theta1 runs over one period of the first curve and theta2 - theta1
+    over m*pi, m < n2; among the witness pairs of each point the reported
+    one is the smallest, whatever rounding noise twin roots carry."""
+    f, g = curve(t1), curve(t2)
+    n1, n2 = f.period_multiple_of_pi(), g.period_multiple_of_pi()
+    result = intersections(f, g)
+    assert len(result.points) == count
+    phases = [round(math.atan2(p.point.imag, p.point.real) % (2.0 * math.pi), 9)
+              for p in result.points]
+    assert phases == sorted(phases)
+    for p in result.points:
+        assert 0.0 <= p.theta1 < n1 * math.pi
+        assert 0.0 <= p.theta2 - p.theta1 < n2 * math.pi
+        assert (p.theta1, p.theta2) == pytest.approx(smallest_witnesses(f, g, p.point), abs=1e-9)
+    return result
 
 
 def point_set(result):
@@ -45,9 +80,9 @@ class TestLayerCalls:
         expected = intersections(c1, c2)
         calls = []
 
-        def counting(c, *args, **kwargs):
+        def counting(c):
             calls.append(c)
-            return origin_on_curve(c, *args, **kwargs)
+            return origin_on_curve(c)
 
         monkeypatch.setattr(intersect, "origin_on_curve", counting)
         result = intersections(c1, c2)
@@ -163,19 +198,24 @@ class TestInvariants:
         assert [p.theta1 for p in first.points] == [p.theta1 for p in second.points]
 
     def test_witnesses_are_the_smallest_angles(self):
-        # sin(5t) = cos(5t) at t = pi/20 + k*pi/5, and t, t + pi name the same
-        # point, so each of the 5 points has witnesses in both halves of
-        # [0, 2*pi); the reported pair is the smallest, on the same ray.
-        result = intersections(curve("sin(5*theta)"), curve("cos(5*theta)"))
-        assert len(result.points) == 5
-        phases = [round(math.atan2(p.point.imag, p.point.real) % (2.0 * math.pi), 9)
-                  for p in result.points]
-        assert phases == sorted(phases)
+        # sin(5t) = cos(5t) at t = pi/20 + k*pi/5 in [0, pi), one period of
+        # sin(5t), with both curves on the same ray (m = 0)
+        result = assert_smallest_witnesses("sin(5*theta)", "cos(5*theta)", 5)
         witnesses = sorted(p.theta1 for p in result.points)
         expected = [math.pi / 20.0 + k * math.pi / 5.0 for k in range(5)]
         assert witnesses == pytest.approx(expected, abs=1e-9)
         for p in result.points:
             assert p.theta2 == p.theta1
+
+    # pairs whose points were once reported with theta2 - theta1 = n2*pi
+    @pytest.mark.parametrize("t1, t2, count", [
+        ("sin(7*theta)", "cos(7*theta)", 7),
+        ("cos(theta)", "sin(5*theta)", 5),
+        ("cos(8*theta)", "sin(3*theta)", 15),
+        ("cos(2*theta)", "sin(9*theta)", 17),
+    ])
+    def test_witnesses_are_the_smallest_angles_for_every_offset(self, t1, t2, count):
+        assert_smallest_witnesses(t1, t2, count)
 
 
 class TestDegenerate:

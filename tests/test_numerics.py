@@ -130,8 +130,9 @@ def bits(values):
 
 
 def frozen_reference_equations():
-    """(f, a, b, right_open) as the intersection, origin and decomposition
-    code hands them to find_roots."""
+    """(f, a, b, right_open) as the origin and decomposition code hands them
+    to find_roots, and the intersection families over the wider windows and
+    m ranges that the intersection code used before it swept one period."""
     def families(t1, t2, params=None):
         c1, c2 = PolarCurve(t1, params), PolarCurve(t2, params)
         n1, n2 = c1.period_multiple_of_pi(), c2.period_multiple_of_pi()
@@ -267,6 +268,20 @@ class TestIntegrate:
         # tan(pi/2) evaluates to a finite 1.6e16, so only the round cap stops it
         with pytest.raises(ValueError):
             integrate(lambda t: np.tan(t) ** 2, 0.0, math.pi / 2, 1e-10)
+
+    def test_interior_pole_stops_at_the_panel_cap(self):
+        # near the pole at t = 5.057 the open panels grew about 1.7-fold a
+        # round, to 66M nodes by round 34; the budget fails such a run early
+        curve = PolarCurve("(0.474 - 2.397/t)^(-4)")
+        evaluated = []
+
+        def f(t):
+            evaluated.append(t.size)
+            assert sum(evaluated) < 5_000_000, "open panels were not capped"
+            return curve.eval_many(t)
+
+        with pytest.raises(ValueError, match="did not converge"):
+            integrate(f, 0.0, TWO_PI)
 
     def test_large_integrand_converges_at_the_rounding_floor(self):
         # |f|^2 ~ 2e6: an absolute tol of 1e-10 lies below its rounding noise
