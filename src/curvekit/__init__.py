@@ -30,7 +30,6 @@ from .intersect import (
     IdenticalCurvesError,
     IntersectionPoint,
     IntersectionResult,
-    count_nonzero_intersections,
     intersections,
     origin_on_curve,
 )
@@ -42,9 +41,7 @@ from .polar import (
     is_reflection_symmetric,
     is_rotation_symmetric,
     points_equal,
-    polar_period,
     positive_pieces,
-    to_complex,
 )
 from .roulette import (
     ParamCurve,
@@ -85,7 +82,6 @@ __all__ = [
     "IdenticalCurvesError",
     "IntersectionPoint",
     "IntersectionResult",
-    "count_nonzero_intersections",
     "intersections",
     "origin_on_curve",
     "RootList",
@@ -97,9 +93,7 @@ __all__ = [
     "is_reflection_symmetric",
     "is_rotation_symmetric",
     "points_equal",
-    "polar_period",
     "positive_pieces",
-    "to_complex",
     "ParamCurve",
     "RegularityError",
     "RollConfig",

@@ -26,6 +26,7 @@ from .area import (
 from .intersect import IdenticalCurvesError, intersections
 from .numerics import linspace
 from .polar import (
+    MAX_PERIOD_MULTIPLE,
     PolarCurve,
     is_reflection_symmetric,
     is_rotation_symmetric,
@@ -85,12 +86,6 @@ def _parse_domain(text: str | None) -> tuple[float, float] | None:
     return (_parse_number(lo, "domain bound"), _parse_number(hi, "domain bound"))
 
 
-def _curve(text: str, params: dict[str, float], domain=None) -> PolarCurve:
-    if domain is None:
-        return PolarCurve(text, params)
-    return PolarCurve(text, params, domain)
-
-
 def _emit(payload: str, path: str | None) -> None:
     if path:
         with open(path, "w") as handle:
@@ -105,7 +100,7 @@ def _json_out(obj: dict, path: str | None) -> None:
 
 def cmd_intersect(args) -> int:
     params = _parse_params(args.param)
-    result = intersections(_curve(args.c1, params), _curve(args.c2, params))
+    result = intersections(PolarCurve(args.c1, params), PolarCurve(args.c2, params))
     obj: dict = {"schema": SCHEMA, "origin": result.origin}
     if result.origin:
         obj["origin_witnesses"] = [_num(w) for w in result.origin_witnesses]
@@ -150,11 +145,11 @@ def cmd_area(args) -> int:
     elif args.loop:
         if args.c1 is None:
             raise UsageError("--loop needs --c1")
-        curve = _curve(args.c1, params, _parse_domain(args.domain) or _period_domain(args.c1, params))
+        curve = PolarCurve(args.c1, params, _parse_domain(args.domain) or _period_domain(args.c1, params))
         value = sum(loop_area(region) for region in _decomposed_regions(curve))
     else:
-        c1 = _curve(args.c1, params, _period_domain(args.c1, params))
-        c2 = _curve(args.c2, params, _period_domain(args.c2, params))
+        c1 = PolarCurve(args.c1, params, _period_domain(args.c1, params))
+        c2 = PolarCurve(args.c2, params, _period_domain(args.c2, params))
         value = sum(
             region_intersection_area(ra, rb)
             for ra in _decomposed_regions(c1)
@@ -174,14 +169,14 @@ def _period_domain(text: str, params) -> tuple[float, float]:
 
 def cmd_period(args) -> int:
     params = _parse_params(args.param)
-    n = _curve(args.c1, params).period_multiple_of_pi(args.max_multiple)
+    n = PolarCurve(args.c1, params).period_multiple_of_pi(args.max_multiple)
     _json_out({"schema": SCHEMA, "period_multiple_of_pi": n}, args.output)
     return 0
 
 
 def cmd_symmetry(args) -> int:
     params = _parse_params(args.param)
-    curve = _curve(args.c1, params)
+    curve = PolarCurve(args.c1, params)
     chosen = [args.axis is not None, args.rotation is not None, args.reflection is not None]
     if sum(chosen) != 1:
         raise UsageError("symmetry needs exactly one of --axis, --rotation, --reflection")
@@ -210,7 +205,7 @@ def cmd_symmetry(args) -> int:
 def cmd_decompose(args) -> int:
     params = _parse_params(args.param)
     domain = _parse_domain(args.domain) or _period_domain(args.c1, params)
-    curve = _curve(args.c1, params, domain)
+    curve = PolarCurve(args.c1, params, domain)
     pieces = positive_pieces(curve)
     obj = {
         "schema": SCHEMA,
@@ -350,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("period", help="polar period as a multiple of pi")
     p.add_argument("--c1", required=True)
-    p.add_argument("--max-multiple", type=int, default=64)
+    p.add_argument("--max-multiple", type=int, default=MAX_PERIOD_MULTIPLE)
     add_common(p)
     p.set_defaults(func=cmd_period)
 

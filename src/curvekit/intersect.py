@@ -50,15 +50,6 @@ class IntersectionResult:
     origin_witnesses: tuple[float, float] | None
     points: tuple[IntersectionPoint, ...]
 
-    def count_nonzero(self) -> int:
-        return len(self.points)
-
-    def all_points(self) -> list[complex]:
-        pts = [p.point for p in self.points]
-        if self.origin:
-            pts.append(0j)
-        return pts
-
 
 def graph_points(curve: PolarCurve) -> np.ndarray:
     """Dense sample of the full polar graph (over one period window),
@@ -138,8 +129,3 @@ def intersections(c1: PolarCurve, c2: PolarCurve) -> IntersectionResult:
         origin_witnesses=(theta_f, theta_g) if has_origin else None,
         points=tuple(unique),
     )
-
-
-def count_nonzero_intersections(c1: PolarCurve, c2: PolarCurve) -> int:
-    """Number of common points other than the origin."""
-    return intersections(c1, c2).count_nonzero()

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from .numerics import POLE_MAGNITUDE, TWO_PI, find_roots, linspace, symmetric_hausdorff
+from .numerics import (DEDUPE_FACTOR, DEFAULT_TOL, POLE_MAGNITUDE, TWO_PI, find_roots,
+                       linspace, symmetric_hausdorff)
 
 MAX_PERIOD_MULTIPLE = 64  # the largest polar period searched by default, over pi
 
@@ -25,6 +26,9 @@ RULE_SAMPLES = 512
 RULE_TOL = 1e-9
 PIECE_SAMPLES = 256
 PIECE_MATCH_TOL = 1e-6
+# find_roots never reports two roots closer than this, so a zero within it
+# of a domain end is that end, and no stretch between cuts is shorter
+PIECE_CUT_GAP = DEDUPE_FACTOR * DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -47,33 +51,25 @@ class PolarPoint:
         return self.r * cmath.exp(1j * self.theta)
 
 
-def to_complex(p: PolarPoint) -> complex:
-    return p.to_complex()
-
-
-def points_equal(p: PolarPoint, q: PolarPoint, tol: float = 1e-9) -> bool:
-    """True when the two coordinate pairs name the same plane point."""
-    return abs(p.to_complex() - q.to_complex()) < tol
+def points_equal(p: PolarPoint, q: PolarPoint) -> bool:
+    """True when the two coordinate pairs name the same plane point (to 1e-9)."""
+    return abs(p.to_complex() - q.to_complex()) < 1e-9
 
 
 class PolarCurve:
     """r = f(theta) with bound parameters, a domain, and cached metadata."""
 
-    def __init__(self, radius, params=None, domain=(0.0, TWO_PI), text=None):
-        if isinstance(radius, str):
-            if text is None:
-                text = radius
-            radius = _expr.parse(radius)
-        self.radius = radius
+    def __init__(self, radius, params=None, domain=(0.0, TWO_PI)):
+        self.text = radius if isinstance(radius, str) else _expr.to_string(radius)
+        self.radius = _expr.parse(radius) if isinstance(radius, str) else radius
         self.params = dict(params or {})
-        unbound = _expr.free_parameters(radius) - set(self.params)
+        unbound = _expr.free_parameters(self.radius) - set(self.params)
         if unbound:
             raise _expr.EvalError(f"unbound parameters: {sorted(unbound)}")
         a, b = float(domain[0]), float(domain[1])
         if not a < b:
             raise ValueError("domain must be a non-empty interval")
         self.domain = (a, b)
-        self.text = text if text is not None else _expr.to_string(radius)
         self._program = None
         self._period = None  # smallest multiple found so far
         self._period_searched = 0  # highest multiple exhaustively scanned
@@ -134,10 +130,6 @@ class PolarCurve:
         return (0.0, n * math.pi)
 
 
-def polar_period(curve: PolarCurve, max_multiple: int = MAX_PERIOD_MULTIPLE) -> int | None:
-    return curve.period_multiple_of_pi(max_multiple)
-
-
 def _rule_misses(curve: PolarCurve, thetas, base, ns) -> np.ndarray:
     """Mask of the samples where f(theta) = (-1)^n f(base + n*pi) fails for
     every n in ns (the equality rule), searched until all match.  Poles
@@ -167,35 +159,27 @@ def _rule_misses(curve: PolarCurve, thetas, base, ns) -> np.ndarray:
     return missed
 
 
-def _holds_for_some_n(curve: PolarCurve, max_n: int | None, reflect: bool,
-                      theta0: float) -> bool:
-    n_period = curve.period_multiple_of_pi()
-    if n_period is None and max_n is None:
-        raise ValueError("symmetry test needs a periodic curve or an explicit max_n")
-    if max_n is None:
-        max_n = 2 * n_period
-    window = n_period * math.pi if n_period is not None else TWO_PI
-    thetas = linspace(0.0, window, RULE_SAMPLES, endpoint=False)
+def _holds_for_some_n(curve: PolarCurve, reflect: bool, theta0: float) -> bool:
+    lo, hi = curve.period_window()  # hi = n_period * pi; n runs to 2 * n_period
+    thetas = linspace(lo, hi, RULE_SAMPLES, endpoint=False)
     base = (2.0 * theta0 - thetas) if reflect else (thetas + theta0)
-    return not _rule_misses(curve, thetas, base, range(max_n + 1)).any()
+    return not _rule_misses(curve, thetas, base, range(2 * round(hi / math.pi) + 1)).any()
 
 
-def is_rotation_symmetric(curve: PolarCurve, theta0: float,
-                          max_n: int | None = None) -> bool:
+def is_rotation_symmetric(curve: PolarCurve, theta0: float) -> bool:
     """Does rotating the graph by theta0 map it onto itself?
 
     Implements the pointwise criterion: for every sampled theta there must be
     an integer n (allowed to vary with theta) with
     f(theta) = (-1)^n f(theta + theta0 + n*pi).
     """
-    return _holds_for_some_n(curve, max_n, reflect=False, theta0=theta0)
+    return _holds_for_some_n(curve, reflect=False, theta0=theta0)
 
 
-def is_reflection_symmetric(curve: PolarCurve, theta0: float,
-                            max_n: int | None = None) -> bool:
+def is_reflection_symmetric(curve: PolarCurve, theta0: float) -> bool:
     """Reflection through the line theta = theta0, same n-search as rotation:
     f(theta) = (-1)^n f(2*theta0 - theta + n*pi) for some n per sample."""
-    return _holds_for_some_n(curve, max_n, reflect=True, theta0=theta0)
+    return _holds_for_some_n(curve, reflect=True, theta0=theta0)
 
 
 @dataclass(frozen=True)
@@ -209,13 +193,6 @@ class Piece:
     def sample_points(self) -> np.ndarray:
         thetas = linspace(self.interval[0], self.interval[1], PIECE_SAMPLES)
         return self.curve.points_many(thetas)
-
-
-def _on(curve: PolarCurve, lo: float, hi: float) -> PolarCurve:
-    """The same radius function on [lo, hi], sharing the compiled program."""
-    piece = PolarCurve(curve.radius, curve.params, (lo, hi), text=curve.text)
-    piece._program = curve.program
-    return piece
 
 
 def _half_turn(curve: PolarCurve, forward: bool) -> PolarCurve:
@@ -235,9 +212,9 @@ def positive_pieces(curve: PolarCurve) -> tuple[Piece, ...]:
 
     Stretches where f is negative are re-expressed through the half-turn
     identity; pieces whose point set duplicates an earlier piece (the curve
-    is traced again) are flagged traced_twice.  The pieces share the
-    curve's compiled program, and the negative ones share one program per
-    half-turn direction.
+    is traced again) are flagged traced_twice.  A non-negative piece keeps
+    the curve itself, and the negative ones share one half-turn curve per
+    direction.
     """
     a, b = curve.domain
     probe = linspace(a, b, 2048)
@@ -250,11 +227,11 @@ def positive_pieces(curve: PolarCurve) -> tuple[Piece, ...]:
         return (piece,)
 
     zeros = list(find_roots(curve.eval_many, a, b))
-    cuts = [a] + [z for z in zeros if a + 1e-12 < z < b - 1e-12] + [b]
+    cuts = [a] + [z for z in zeros if a + PIECE_CUT_GAP < z < b - PIECE_CUT_GAP] + [b]
 
     raw: list[tuple[float, float, int]] = []  # (lo, hi, sign)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo < 1e-9:
+        if hi - lo < PIECE_CUT_GAP:
             continue
         # the sign of the median of 15 inner samples; NaN counts as negative
         mid_vals = np.sort(curve.eval_many(linspace(lo, hi, 17)[1:-1]))
@@ -282,18 +259,20 @@ def positive_pieces(curve: PolarCurve) -> tuple[Piece, ...]:
     half_turns: dict[bool, PolarCurve] = {}
     pieces: list[Piece] = []
     for lo, hi, sign in raw:
+        piece_curve, interval = curve, (lo, hi)
         if sign < 0:
             forward = lo + math.pi < TWO_PI - 1e-9
             if forward not in half_turns:
                 half_turns[forward] = _half_turn(curve, forward)
-            lo, hi = (lo + math.pi, hi + math.pi) if forward else (lo - math.pi, hi - math.pi)
-            piece_curve = _on(half_turns[forward], lo, hi)
-        else:
-            piece_curve = _on(curve, lo, hi)
-        samples = linspace(lo, hi, 1024)
-        if float(np.min(piece_curve.eval_many(samples))) < -1e-9:
-            raise ValueError("piece is not non-negative; zero isolation failed")
-        pieces.append(Piece(piece_curve, (lo, hi), traced_twice=False))
+            shift = math.pi if forward else -math.pi
+            piece_curve, interval = half_turns[forward], (lo + shift, hi + shift)
+        values = piece_curve.eval_many(linspace(*interval, 1024))
+        if float(np.min(values)) < -1e-9:  # a sign change where find_roots saw no zero
+            near = linspace(lo, hi, 1024)[np.argmax((values < -1e-9) != (values[0] < -1e-9))]
+            raise ValueError(f"curve changes sign inside [{lo:.12g}, {hi:.12g}] near theta = "
+                             f"{near:.12g} with no zero found there (a pole, or zeros finer "
+                             "than the root grid)")
+        pieces.append(Piece(piece_curve, interval, traced_twice=False))
 
     pieces.sort(key=lambda p: p.interval)
     flagged: list[Piece] = []

@@ -25,7 +25,6 @@ from curvekit.intersect import intersections
 from curvekit.polar import (
     PolarCurve,
     is_reflection_symmetric,
-    polar_period,
     positive_pieces,
 )
 from curvekit.roulette import (
@@ -145,7 +144,7 @@ def test_c04_period_and_symmetry_table():
     for m, n in pairs:
         c = curve(f"cos({m}*theta/{n})")
         expected_period = 2 * n if (m * n) % 2 == 0 else n
-        got = polar_period(c, max_multiple=20)
+        got = c.period_multiple_of_pi(max_multiple=20)
         check(failures, got == expected_period,
               f"cos({m}t/{n}): period {got}, expected {expected_period}")
         check(failures, is_reflection_symmetric(c, 0.0),

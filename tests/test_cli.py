@@ -223,7 +223,8 @@ class TestDecomposeCommand:
         assert len(payload["pieces"]) == 2
         assert sum(p["traced_twice"] for p in payload["pieces"]) == 1
 
-    # sha256 of stdout, recorded when every piece compiled its own program;
+    # sha256 of stdout, recorded when every piece compiled its own program
+    # (sin(4*theta) since zeros within 1e-9 of a domain end snap to the end);
     # sin(4*theta) on [0, 2*pi] takes both half-turn branches
     DIGESTS = {
         ("cos(theta/2)", "--domain", "0:6.2832"):
@@ -231,7 +232,7 @@ class TestDecomposeCommand:
         ("1 - lambda*sin(theta)", "--param", "lambda=2"):
             "fe75372b8b60fa3de4948e545986de4d7f0fe8c70325d8c45732cea10539937d",
         ("sin(4*theta)", "--domain", "0:2*pi"):
-            "963427507a3f0917f3efc807304df264971e813050e1eefd49fe4759118c80dd",
+            "933b8a126908cff7dfaaaf3dde76ea0615972c4a0c29cc0d99a699df54e83e36",
         ("cos(3*theta/5)",):
             "f6a913cd66e7cabe634037f58e03c4eb515eb7bb6bb463fa7783e8162d50c5b0",
     }
@@ -241,6 +242,54 @@ class TestDecomposeCommand:
         code, out = run_inprocess(["decompose", "--c1", *args])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[args]
+
+    @pytest.mark.parametrize(
+        "c1, domain, expected",
+        [
+            ("sin(4*theta)", "0:2*pi",
+             [("sin(4*t)", [0.0, 0.785398163397], False),
+              ("-sin(4*(t + 3.141592653589793))", [0.785398163397, 1.57079632679], False),
+              ("sin(4*t)", [1.57079632679, 2.35619449019], False),
+              ("-sin(4*(t + 3.141592653589793))", [2.35619449019, 3.14159265359], False),
+              ("sin(4*t)", [3.14159265359, 3.92699081699], False),
+              ("-sin(4*(t - 3.141592653589793))", [3.92699081699, 4.71238898038], False),
+              ("sin(4*t)", [4.71238898038, 5.49778714378], False),
+              ("-sin(4*(t - 3.141592653589793))", [5.49778714378, 6.28318530718], False)]),
+            ("sin(theta)", "0:2*pi",
+             [("sin(t)", [0.0, 3.14159265359], False),
+              ("-sin(t + 3.141592653589793)", [0.0, 3.14159265359], True)]),
+            ("sin(theta)", "0:4*pi",
+             [("sin(t)", [0.0, 3.14159265359], False),
+              ("-sin(t + 3.141592653589793)", [0.0, 3.14159265359], True),
+              ("sin(t)", [6.28318530718, 9.42477796077], True),
+              ("-sin(t + 3.141592653589793)", [6.28318530718, 9.42477796077], True)]),
+        ],
+        ids=["sin(4*theta)", "sin(theta)-one-turn", "sin(theta)-two-turns"],
+    )
+    def test_zeros_at_domain_ends_are_the_ends(self, c1, domain, expected):
+        # a zero refined to within 1e-9 of a domain end is that end: pi
+        # prints as 3.14159265359, and the curve's own piece comes first
+        code, out = run_inprocess(["decompose", "--c1", c1, "--domain", domain])
+        assert code == 0
+        pieces = json.loads(out)["pieces"]
+        assert [(p["expression"], p["interval"], p["traced_twice"]) for p in pieces] == expected
+
+    @pytest.mark.parametrize(
+        "c1, message",
+        [
+            ("tan(t)", b"error: curve changes sign inside [0, 6.28318530718] near theta = "
+                       b"1.57233180708 with no zero found there (a pole"),
+            ("1/(2 - t)", b"error: curve changes sign inside [0, 6.28318530718] near theta = "
+                          b"2.00226628557 with no zero found there (a pole"),
+        ],
+        ids=["tan", "reciprocal"],
+    )
+    def test_sign_change_through_a_pole_is_named(self, c1, message):
+        result = run_subprocess(["decompose", "--c1", c1, "--domain", "0:2*pi"])
+        assert result.returncode == 1
+        assert result.stderr.startswith(message)
+        assert b"Traceback" not in result.stderr
+        assert result.stdout == b""
 
 
 class TestReadmeCommandBytes:

@@ -8,7 +8,6 @@ from curvekit import intersect
 from curvekit.intersect import (
     IDENTICAL_GRAPH_TOL,
     IdenticalCurvesError,
-    count_nonzero_intersections,
     intersections,
     origin_on_curve,
 )
@@ -118,7 +117,7 @@ class TestGoldenPairs:
         for (gx, gy), (ex, ey) in zip(got, expected):
             assert abs(gx - ex) < 1e-8 and abs(gy - ey) < 1e-8
         # three common points in total, counting the origin
-        assert len(result.all_points()) == 3
+        assert len(result.points) + result.origin == 3
 
     def test_circle_and_cardioid_tangency(self):
         # Solving 1 + cos = 2cos gives cos(theta) = 1, i.e. theta = 0 where
@@ -142,13 +141,13 @@ class TestRoseCounts:
     def test_same_order_roses(self, n, expected):
         c1 = curve(f"sin({n}*theta)")
         c2 = curve(f"cos({n}*theta)")
-        assert count_nonzero_intersections(c1, c2) == expected
+        assert len(intersections(c1, c2).points) == expected
 
     @pytest.mark.parametrize("m,n", [(3, 1), (5, 3), (7, 5)])
     def test_mixed_odd_roses(self, m, n):
         c1 = curve(f"cos({m}*theta)")
         c2 = curve(f"sin({n}*theta)")
-        assert count_nonzero_intersections(c1, c2) == max(m, n)
+        assert len(intersections(c1, c2).points) == max(m, n)
 
     def test_against_rasterization_oracle(self):
         for spec in [("sin(3*theta)", "cos(3*theta)"), ("cos(5*theta)", "sin(3*theta)")]:
@@ -230,10 +229,6 @@ class TestDegenerate:
     def test_disguised_identity(self):
         with pytest.raises(IdenticalCurvesError):
             intersections(curve("cos(theta)"), curve("sin(theta + pi/2)"))
-
-    def test_count_raises_too(self):
-        with pytest.raises(IdenticalCurvesError):
-            count_nonzero_intersections(curve("cos(theta)"), curve("cos(theta)"))
 
     def test_mirror_circles_meet_only_at_origin(self):
         # r = -cos(theta) is the mirror circle through the origin, not the

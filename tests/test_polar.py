@@ -12,9 +12,7 @@ from curvekit.polar import (
     is_reflection_symmetric,
     is_rotation_symmetric,
     points_equal,
-    polar_period,
     positive_pieces,
-    to_complex,
 )
 from helpers import record_hausdorff_bounds
 
@@ -32,15 +30,15 @@ def coprime_pairs(limit=9):
 
 class TestPolarPoint:
     def test_unit_point(self):
-        assert to_complex(PolarPoint(1.0, 0.0)) == 1.0 + 0.0j
+        assert PolarPoint(1.0, 0.0).to_complex() == 1.0 + 0.0j
 
     def test_half_radius_at_sixty_degrees(self):
-        z = to_complex(PolarPoint(0.5, math.pi / 3))
+        z = PolarPoint(0.5, math.pi / 3).to_complex()
         assert z.real == pytest.approx(0.25, abs=1e-15)
         assert z.imag == pytest.approx(math.sqrt(3.0) / 4.0, abs=1e-15)
 
     def test_negative_radius_convention(self):
-        assert to_complex(PolarPoint(-1.0, 0.0)) == pytest.approx(-1.0 + 0j)
+        assert PolarPoint(-1.0, 0.0).to_complex() == pytest.approx(-1.0 + 0j)
         assert points_equal(PolarPoint(-1.0, 0.0), PolarPoint(1.0, math.pi))
 
     def test_canonical_ranges(self):
@@ -63,7 +61,7 @@ class TestPolarPoint:
             theta = float(rng.uniform(-10, 10))
             n = int(rng.integers(-6, 7))
             q = PolarPoint((-1.0) ** n * r, theta + n * math.pi)
-            assert points_equal(PolarPoint(r, theta), q, tol=1e-9)
+            assert points_equal(PolarPoint(r, theta), q)
 
     def test_mod_two_pi_branch(self):
         assert points_equal(PolarPoint(1.0, 0.0), PolarPoint(1.0, TWO_PI))
@@ -84,25 +82,25 @@ class TestPeriod:
         ],
     )
     def test_examples(self, text, expected):
-        assert polar_period(PolarCurve(text)) == expected
+        assert PolarCurve(text).period_multiple_of_pi() == expected
 
     def test_rule_for_all_coprime_pairs(self):
         for m, n in coprime_pairs(9):
             curve = PolarCurve(f"cos({m}*theta/{n})")
             expected = 2 * n if (m * n) % 2 == 0 else n
-            assert polar_period(curve, max_multiple=20) == expected, (m, n)
+            assert curve.period_multiple_of_pi(max_multiple=20) == expected, (m, n)
 
     def test_aperiodic_returns_none(self):
-        assert polar_period(PolarCurve("t/10"), max_multiple=8) is None
+        assert PolarCurve("t/10").period_multiple_of_pi(max_multiple=8) is None
 
     def test_nan_sample_raises(self):
         # sqrt(cos) is undefined on (pi/2, 3pi/2): NaN is not a pole, and the
         # error names the first sample of that stretch, 257*pi/512
         with pytest.raises(EvalError, match=r"undefined at theta = 1\.5769"):
-            polar_period(PolarCurve("sqrt(cos(theta))"))
+            PolarCurve("sqrt(cos(theta))").period_multiple_of_pi()
 
     def test_degenerate_zero_curve(self):
-        assert polar_period(PolarCurve("0")) == 1
+        assert PolarCurve("0").period_multiple_of_pi() == 1
 
     def test_cached(self):
         curve = PolarCurve("cos(theta/2)")
@@ -149,9 +147,11 @@ class TestSymmetry:
             if is_rotation_symmetric(curve, theta0):
                 assert is_rotation_symmetric(curve, -theta0)
 
-    def test_aperiodic_needs_max_n(self):
-        with pytest.raises(ValueError):
+    def test_aperiodic_names_the_period_bound(self):
+        with pytest.raises(ValueError, match=r"has no period <= 64\*pi"):
             is_rotation_symmetric(PolarCurve("t/10"), math.pi)
+        with pytest.raises(ValueError, match=r"has no period <= 64\*pi"):
+            is_reflection_symmetric(PolarCurve("t/10"), 0.0)
 
     def test_pole_samples_are_left_out_of_reflection(self):
         # the line y = 1 mirrors onto itself across the y axis; its pole
@@ -165,7 +165,7 @@ class TestSymmetry:
 
     def test_nan_sample_names_its_angle(self):
         with pytest.raises(EvalError, match=r"undefined at theta = 1\.5769"):
-            is_rotation_symmetric(PolarCurve("sqrt(cos(theta))"), math.pi, max_n=2)
+            is_rotation_symmetric(PolarCurve("sqrt(cos(theta))"), math.pi)
 
 
 def membership_distance(curve, g_value, phi, n_range=5):
@@ -231,10 +231,16 @@ class TestPositivePieces:
             return compile_program(*args, **kwargs)
 
         monkeypatch.setattr(polar._expr, "compile_program", counting)
-        dec = positive_pieces(PolarCurve("sin(4*theta)", domain=(0.0, TWO_PI)))
+        curve = PolarCurve("sin(4*theta)", domain=(0.0, TWO_PI))
+        dec = positive_pieces(curve)
         assert len(dec) == 8
         assert len(compiled) <= 3
         assert len({p.curve.text for p in dec}) == 3
+        # a non-negative piece keeps the input curve, and each half-turn
+        # direction (before and after pi) has one curve object
+        assert all(p.curve is curve for p in dec[0::2])
+        assert dec[1].curve is dec[3].curve and dec[5].curve is dec[7].curve
+        assert dec[1].curve is not dec[5].curve
         for piece in dec:
             phis = np.linspace(*piece.interval, 64)
             expected = np.sin(4.0 * phis) * (1.0 if piece.curve.text == "sin(4*theta)" else -1.0)
