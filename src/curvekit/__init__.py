@@ -37,10 +37,8 @@ from .numerics import RootList, find_roots, integrate
 from .polar import (
     Piece,
     PolarCurve,
-    PolarPoint,
     is_reflection_symmetric,
     is_rotation_symmetric,
-    points_equal,
     positive_pieces,
 )
 from .roulette import (
@@ -50,10 +48,7 @@ from .roulette import (
     RollState,
     arc_length,
     circle,
-    cycloid_point,
     ellipse,
-    epicycloid_point,
-    hypocycloid_point,
     limacon,
     line,
     roll_state,
@@ -89,10 +84,8 @@ __all__ = [
     "integrate",
     "Piece",
     "PolarCurve",
-    "PolarPoint",
     "is_reflection_symmetric",
     "is_rotation_symmetric",
-    "points_equal",
     "positive_pieces",
     "ParamCurve",
     "RegularityError",
@@ -100,10 +93,7 @@ __all__ = [
     "RollState",
     "arc_length",
     "circle",
-    "cycloid_point",
     "ellipse",
-    "epicycloid_point",
-    "hypocycloid_point",
     "limacon",
     "line",
     "roll_state",

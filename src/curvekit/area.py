@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import TWO_PI, find_roots, integrate, linspace
-from .polar import PolarCurve, Piece
-
-_BOUNDARY_SLACK = 1e-9
+from .numerics import TWO_PI, find_roots, integrate
+from .polar import PolarCurve, Piece, sign_change_sample
 
 
 @dataclass(frozen=True)
@@ -32,37 +30,12 @@ class SectorRegion:
             raise ValueError("empty sector interval")
         if b - a > TWO_PI + 1e-9:
             raise ValueError("sector interval wider than a full turn")
-        samples = linspace(a, b, 1024)
-        if float(np.min(self.boundary.eval_many(samples))) < -_BOUNDARY_SLACK:
+        if sign_change_sample(self.boundary, self.interval) is not None:
             raise ValueError("boundary must be non-negative on the interval")
 
     @classmethod
     def from_piece(cls, piece: Piece) -> "SectorRegion":
         return cls(piece.curve, piece.interval)
-
-    def max_radius(self) -> float:
-        samples = linspace(self.interval[0], self.interval[1], 1024)
-        return float(np.max(self.boundary.eval_many(samples)))
-
-    def contains(self, z) -> np.ndarray:
-        """Vectorized membership test for complex plane points."""
-        z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
-        theta = np.mod(np.angle(z), TWO_PI)
-        a, b = self.interval
-        inside = np.zeros(z.shape, dtype=bool)
-        k_lo = math.floor((a - theta.max() if z.size else a) / TWO_PI)
-        k_hi = math.ceil((b - (theta.min() if z.size else 0.0)) / TWO_PI)
-        for k in range(k_lo, k_hi + 1):
-            mapped = theta + k * TWO_PI
-            mask = (mapped >= a) & (mapped <= b)
-            if not mask.any():
-                continue
-            vals = self.boundary.eval_many(mapped[mask])
-            sub = inside[mask]
-            sub |= r[mask] <= vals + 1e-12
-            inside[mask] = sub
-        return inside
 
 
 def loop_area(region: SectorRegion) -> float:

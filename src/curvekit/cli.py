@@ -145,11 +145,11 @@ def cmd_area(args) -> int:
     elif args.loop:
         if args.c1 is None:
             raise UsageError("--loop needs --c1")
-        curve = PolarCurve(args.c1, params, _parse_domain(args.domain) or _period_domain(args.c1, params))
+        curve = _domain_curve(args.c1, params, args.domain)
         value = sum(loop_area(region) for region in _decomposed_regions(curve))
     else:
-        c1 = PolarCurve(args.c1, params, _period_domain(args.c1, params))
-        c2 = PolarCurve(args.c2, params, _period_domain(args.c2, params))
+        c1 = _domain_curve(args.c1, params, None)
+        c2 = _domain_curve(args.c2, params, None)
         value = sum(
             region_intersection_area(ra, rb)
             for ra in _decomposed_regions(c1)
@@ -159,12 +159,17 @@ def cmd_area(args) -> int:
     return 0
 
 
-def _period_domain(text: str, params) -> tuple[float, float]:
+def _domain_curve(text: str, params, domain_text: str | None) -> PolarCurve:
+    """The curve over --domain, or else over one period, parsed once."""
+    domain = _parse_domain(domain_text)
+    if domain is not None:
+        return PolarCurve(text, params, domain)
     curve = PolarCurve(text, params)
     n = curve.period_multiple_of_pi()
     if n is None:
         raise UsageError(f"curve {text!r} has no polar period; pass --domain")
-    return (0.0, n * math.pi)
+    curve.domain = (0.0, n * math.pi)
+    return curve
 
 
 def cmd_period(args) -> int:
@@ -204,9 +209,7 @@ def cmd_symmetry(args) -> int:
 
 def cmd_decompose(args) -> int:
     params = _parse_params(args.param)
-    domain = _parse_domain(args.domain) or _period_domain(args.c1, params)
-    curve = PolarCurve(args.c1, params, domain)
-    pieces = positive_pieces(curve)
+    pieces = positive_pieces(_domain_curve(args.c1, params, args.domain))
     obj = {
         "schema": SCHEMA,
         "pieces": [
@@ -307,12 +310,8 @@ class _Parser(argparse.ArgumentParser):
     # mathematical degeneracy and reports usage problems with 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit_code(message))
-
-    @staticmethod
-    def _usage_exit_code(message):
         sys.stderr.write(f"error: {message}\n")
-        return 1
+        raise SystemExit(1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,9 +41,6 @@ class RootList:
     def __iter__(self):
         return iter(self.roots)
 
-    def __getitem__(self, i: int) -> float:
-        return self.roots[i]
-
 
 def linspace(start: float, stop: float, num: int, endpoint: bool = True) -> np.ndarray:
     """np.linspace(start, stop, num, endpoint) for float bounds, bit for bit.
@@ -261,14 +258,14 @@ _PANEL_CAP = 1 << 14  # open panels in a round: smooth integrands keep under 64
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps  # QUADPACK's |K - G| noise level
 
 
-def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
+def integrate(f, a: float, b: float) -> float:
     """Adaptive Gauss-Kronrod (G7-K15) integral of f over [a, b].
 
     f maps arrays to arrays.  Starting from four equal panels, each round
     evaluates the 15 nodes and both edges of every open panel in one call;
-    a panel of width h is accepted when |K15 - G7| <= tol*h/(b - a) or when
-    |K15 - G7| is at the rounding floor 50*eps*K15(|f|), and is halved
-    otherwise.  The orientation is signed: integrate(f, b, a) ==
+    a panel of width h is accepted when |K15 - G7| <= DEFAULT_TOL*h/(b - a)
+    or when |K15 - G7| is at the rounding floor 50*eps*K15(|f|), and is
+    halved otherwise.  The orientation is signed: integrate(f, b, a) ==
     -integrate(f, a, b).  A non-finite sample (the edges catch a pole at a
     panel end), more than 16,384 panels open in one round, or panels still
     open after 40 rounds (a pole or a divergent integral) raise ValueError.
@@ -278,7 +275,7 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
     if a == b:
         return 0.0
     if b < a:
-        return -integrate(f, b, a, tol)
+        return -integrate(f, b, a)
     edges = linspace(a, b, _START_PANELS + 1)
     lo, hi = edges[:-1], edges[1:]
     accepted: list[float] = []
@@ -291,7 +288,7 @@ def integrate(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
         ys = ys[:nodes.size].reshape(nodes.shape)
         kronrod = half * (ys @ _K15_WEIGHTS)
         error = np.abs(kronrod - half * (ys @ _G7_WEIGHTS))
-        done = (error <= tol * (hi - lo) / (b - a)) | (
+        done = (error <= DEFAULT_TOL * (hi - lo) / (b - a)) | (
             error <= _ROUNDING_FLOOR * half * (np.abs(ys) @ _K15_WEIGHTS)
         )
         accepted.extend(kronrod[done].tolist())

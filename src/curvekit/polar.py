@@ -1,15 +1,12 @@
-"""Polar points and curves: canonical coordinates, the complex equality rule,
-periods, symmetry tests, and decomposition into non-negative pieces.
+"""Polar curves: the complex equality rule, periods, symmetry tests, and
+decomposition into non-negative pieces.
 
 A polar curve r = f(theta) is identified with the set of complex points
-f(theta) * e^(i*theta).  Two polar coordinate pairs name the same plane point
-exactly when they agree after canonicalization (r >= 0, theta in [0, 2*pi)),
-the origin being the single point with no well-defined angle.
+f(theta) * e^(i*theta).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,31 +26,14 @@ PIECE_MATCH_TOL = 1e-6
 # find_roots never reports two roots closer than this, so a zero within it
 # of a domain end is that end, and no stretch between cuts is shorter
 PIECE_CUT_GAP = DEDUPE_FACTOR * DEFAULT_TOL
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    r: float
-    theta: float
-
-    def canonical(self) -> "PolarPoint":
-        r, theta = self.r, self.theta
-        if r < 0.0:
-            r, theta = -r, theta + math.pi
-        if r == 0.0:
-            return PolarPoint(0.0, 0.0)
-        theta = math.fmod(theta, TWO_PI)
-        if theta < 0.0:
-            theta += TWO_PI
-        return PolarPoint(r, theta)
-
-    def to_complex(self) -> complex:
-        return self.r * cmath.exp(1j * self.theta)
-
-
-def points_equal(p: PolarPoint, q: PolarPoint) -> bool:
-    """True when the two coordinate pairs name the same plane point (to 1e-9)."""
-    return abs(p.to_complex() - q.to_complex()) < 1e-9
+# Sign checks sample an interval at SIGN_SAMPLES angles, ends included, and
+# call a value below -SIGN_TOL negative.  A piece end is a root refined to
+# DEFAULT_TOL, or a domain end with a zero within PIECE_CUT_GAP of it, so f
+# can miss zero there by PIECE_CUT_GAP * |f'|: an end sample may go that much
+# lower, with |f'| the secant slope to the next sample.  That needs no
+# derivative, so abs curves are checked the same way.
+SIGN_SAMPLES = 1024
+SIGN_TOL = 1e-9
 
 
 class PolarCurve:
@@ -83,14 +63,8 @@ class PolarCurve:
             self._program = _expr.compile_program(self.radius, self.params)
         return self._program
 
-    def eval(self, theta: float) -> float:
-        return _expr.evaluate(self.radius, theta, self.params)
-
     def eval_many(self, thetas) -> np.ndarray:
         return self.program(np.asarray(thetas, dtype=float))
-
-    def point(self, theta: float) -> complex:
-        return self.eval(theta) * cmath.exp(1j * theta)
 
     def points_many(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
@@ -207,6 +181,23 @@ def _half_turn(curve: PolarCurve, forward: bool) -> PolarCurve:
     return PolarCurve(_expr.neg(_expr.substitute_var(curve.radius, shift)), curve.params)
 
 
+def sign_change_sample(curve: PolarCurve, interval: tuple[float, float]) -> int | None:
+    """None when the curve is non-negative on all SIGN_SAMPLES angles spanning
+    the interval (SIGN_TOL, with the end slack; NaN fails).  Otherwise the
+    index where it changes sign: the first failing sample, or, when the first
+    sample fails, the first that does not (0 if none)."""
+    lo, hi = interval
+    values = curve.eval_many(linspace(lo, hi, SIGN_SAMPLES))
+    failing = ~(values >= -SIGN_TOL)
+    for end, inner in ((0, 1), (-1, -2)):
+        if failing[end]:  # a non-finite slope, from a pole at the end, gets no slack
+            rise = abs(float(values[inner]) - float(values[end]))
+            slope = rise * (SIGN_SAMPLES - 1) / (hi - lo)
+            failing[end] = not (math.isfinite(slope)
+                                and values[end] >= -SIGN_TOL - PIECE_CUT_GAP * slope)
+    return int(np.argmax(failing != failing[0])) if failing.any() else None
+
+
 def positive_pieces(curve: PolarCurve) -> tuple[Piece, ...]:
     """Rewrite the curve over its domain as non-negative pieces.
 
@@ -266,9 +257,9 @@ def positive_pieces(curve: PolarCurve) -> tuple[Piece, ...]:
                 half_turns[forward] = _half_turn(curve, forward)
             shift = math.pi if forward else -math.pi
             piece_curve, interval = half_turns[forward], (lo + shift, hi + shift)
-        values = piece_curve.eval_many(linspace(*interval, 1024))
-        if float(np.min(values)) < -1e-9:  # a sign change where find_roots saw no zero
-            near = linspace(lo, hi, 1024)[np.argmax((values < -1e-9) != (values[0] < -1e-9))]
+        change = sign_change_sample(piece_curve, interval)
+        if change is not None:  # a sign change where find_roots saw no zero
+            near = linspace(lo, hi, SIGN_SAMPLES)[change]
             raise ValueError(f"curve changes sign inside [{lo:.12g}, {hi:.12g}] near theta = "
                              f"{near:.12g} with no zero found there (a pole, or zeros finer "
                              "than the root grid)")

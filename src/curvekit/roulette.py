@@ -12,12 +12,11 @@ opposite side.  The reverse configuration negates theta(t).  A trochoid point
 rides on the ray from the center through P: Q = P + k*(P - c_t).
 
 Specialized to a line and to a circle these equations reproduce the cycloid,
-epicycloid and hypocycloid, which are provided in closed form as well.
+epicycloid and hypocycloid.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -51,8 +50,7 @@ def _check_regular(speeds, where: str) -> None:
 class ParamCurve:
     """Regular plane curve t -> (x(t), y(t)) with symbolic derivatives."""
 
-    def __init__(self, x, y, params=None, domain=(0.0, 2.0 * math.pi),
-                 dx=None, dy=None):
+    def __init__(self, x, y, params=None, domain=(0.0, 2.0 * math.pi)):
         self.x = _expr.parse(x) if isinstance(x, str) else x
         self.y = _expr.parse(y) if isinstance(y, str) else y
         self.params = dict(params or {})
@@ -63,8 +61,8 @@ class ParamCurve:
         if not a < b:
             raise ValueError("domain must be a non-empty interval")
         self.domain = (a, b)
-        self.dx = dx if dx is not None else _expr.differentiate(self.x)
-        self.dy = dy if dy is not None else _expr.differentiate(self.y)
+        self.dx = _expr.differentiate(self.x)
+        self.dy = _expr.differentiate(self.y)
         self._programs = {}
         _check_regular(self.speed_many(linspace(a, b, 1024)), "on the domain")
 
@@ -88,9 +86,6 @@ class ParamCurve:
             _expr.evaluate(self.dx, t, self.params),
             _expr.evaluate(self.dy, t, self.params),
         )
-
-    def speed(self, t: float) -> float:
-        return abs(self.velocity(t))
 
     def points_many(self, ts) -> np.ndarray:
         x, y = self.program("x", "y")(ts)
@@ -153,14 +148,13 @@ class RollState:
     trochoid: complex   # Q = P + k*(P - center)
 
 
-def arc_length(curve: ParamCurve, t_start: float, t_end: float,
-               tol: float = 1e-10) -> float:
+def arc_length(curve: ParamCurve, t_start: float, t_end: float) -> float:
     """Signed arc length along the curve (negative when t_end < t_start)."""
     a, b = curve.domain
     lo, hi = min(t_start, t_end), max(t_start, t_end)
     if lo < a - DOMAIN_TOL or hi > b + DOMAIN_TOL:
         raise ValueError("arc-length bounds outside the curve domain")
-    return integrate(curve.speed_many, t_start, t_end, tol)
+    return integrate(curve.speed_many, t_start, t_end)
 
 
 # numpy evaluates `a * b` in b's buffer, as `b * a`, when b is a temporary
@@ -278,24 +272,3 @@ def trace(curve: ParamCurve, cfg: RollConfig, t_from: float, t_to: float,
     if failure is not None:
         raise failure
     return trochoid
-
-
-def cycloid_point(r: float, t: float) -> complex:
-    """Closed form for a circle of radius r rolling on the x-axis."""
-    if not r > 0:
-        raise ValueError("radius must be positive")
-    return t + 1j * r - 1j * r * cmath.exp(-1j * t / r)
-
-
-def epicycloid_point(big_r: float, r: float, t: float) -> complex:
-    """Closed form for rolling on top of a circle of radius R > r."""
-    if not (big_r > r > 0):
-        raise ValueError("need R > r > 0")
-    return (big_r + r) * cmath.exp(1j * t) - r * cmath.exp(1j * t * (1.0 + big_r / r))
-
-
-def hypocycloid_point(big_r: float, r: float, t: float) -> complex:
-    """Closed form for rolling inside a circle of radius R > r."""
-    if not (big_r > r > 0):
-        raise ValueError("need R > r > 0")
-    return (big_r - r) * cmath.exp(1j * t) + r * cmath.exp(1j * t * (1.0 - big_r / r))

@@ -1,11 +1,12 @@
-"""Shared test utilities: random expression generators, and a recorder of
-the bounds passed to symmetric_hausdorff."""
+"""Shared test utilities: random expression generators, a recorder of the
+bounds passed to symmetric_hausdorff, and a polar curve's radius at one
+angle by the scalar evaluator."""
 
 import inspect
 
 import numpy as np
 
-from curvekit.expr import BinOp, Call, Const, Neg, Param, Var
+from curvekit.expr import BinOp, Call, Const, Neg, Param, Var, evaluate
 
 PARAM_NAMES = ("lambda", "R", "a", "b")
 
@@ -75,3 +76,9 @@ def record_hausdorff_bounds(monkeypatch, module):
 
     monkeypatch.setattr(module, "symmetric_hausdorff", recording)
     return bounds
+
+
+def radius_at(curve, theta):
+    """f(theta) of a PolarCurve by the scalar evaluator, which raises
+    EvalError where f is undefined or at a pole."""
+    return evaluate(curve.radius, theta, curve.params)

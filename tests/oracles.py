@@ -6,6 +6,11 @@
   (cluster_points).  It never touches the equation-family solver.
 - mc_common_area estimates the area of the intersection of two region
   unions by seeded rejection sampling, independent of any quadrature.
+- PolarPoint and points_equal model polar coordinates directly: a pair
+  (r, theta) with its canonical form (r >= 0, theta in [0, 2*pi), the
+  origin at angle 0) and its complex value r*e^(i*theta).
+- cycloid_point, epicycloid_point and hypocycloid_point are the closed forms
+  of a circle rolling on the x-axis, on a circle and inside a circle.
 - bisection_roots is the plain reference for numerics.find_roots: the same
   grid, gates and dedupe rule, with vectorized bisection for sign changes
   and a scalar golden-section search per touching zero.
@@ -28,7 +33,9 @@
   as `np.exp(...) * n`, and the blocked trace must reproduce that order too.
 """
 
+import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -134,9 +141,15 @@ def _union_contains(regions, radius, theta):
     return inside
 
 
+def max_radius(region):
+    """Largest boundary value of a sector region on 1,024 samples."""
+    samples = np.linspace(region.interval[0], region.interval[1], 1024)
+    return float(np.max(region.boundary.eval_many(samples)))
+
+
 def mc_common_area(regions_a, regions_b, n=1_000_000, seed=20240501):
     """(estimate, sigma) for the area of (union A) intersect (union B)."""
-    rmax = max(r.max_radius() for r in list(regions_a) + list(regions_b))
+    rmax = max(max_radius(r) for r in list(regions_a) + list(regions_b))
     half = 1.001 * rmax
     rng = np.random.default_rng(seed)
     xy = rng.uniform(-half, half, size=(int(n), 2))
@@ -479,3 +492,49 @@ def one_shot_trace(curve, cfg, t_from, t_to, samples):
         center = alpha - n
         point = center + n * np.exp(1j * theta)
     return point + cfg.k * (point - center)
+
+
+@dataclass(frozen=True)
+class PolarPoint:
+    r: float
+    theta: float
+
+    def canonical(self) -> "PolarPoint":
+        r, theta = self.r, self.theta
+        if r < 0.0:
+            r, theta = -r, theta + math.pi
+        if r == 0.0:
+            return PolarPoint(0.0, 0.0)
+        theta = math.fmod(theta, TWO_PI)
+        if theta < 0.0:
+            theta += TWO_PI
+        return PolarPoint(r, theta)
+
+    def to_complex(self) -> complex:
+        return self.r * cmath.exp(1j * self.theta)
+
+
+def points_equal(p: PolarPoint, q: PolarPoint) -> bool:
+    """True when the two coordinate pairs name the same plane point (to 1e-9)."""
+    return abs(p.to_complex() - q.to_complex()) < 1e-9
+
+
+def cycloid_point(r: float, t: float) -> complex:
+    """Closed form for a circle of radius r rolling on the x-axis."""
+    if not r > 0:
+        raise ValueError("radius must be positive")
+    return t + 1j * r - 1j * r * cmath.exp(-1j * t / r)
+
+
+def epicycloid_point(big_r: float, r: float, t: float) -> complex:
+    """Closed form for rolling on top of a circle of radius R > r."""
+    if not (big_r > r > 0):
+        raise ValueError("need R > r > 0")
+    return (big_r + r) * cmath.exp(1j * t) - r * cmath.exp(1j * t * (1.0 + big_r / r))
+
+
+def hypocycloid_point(big_r: float, r: float, t: float) -> complex:
+    """Closed form for rolling inside a circle of radius R > r."""
+    if not (big_r > r > 0):
+        raise ValueError("need R > r > 0")
+    return (big_r - r) * cmath.exp(1j * t) + r * cmath.exp(1j * t * (1.0 - big_r / r))

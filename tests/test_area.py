@@ -12,7 +12,7 @@ from curvekit.area import (
     rose_intersection_area,
 )
 from curvekit.polar import PolarCurve, positive_pieces
-from oracles import mc_common_area
+from oracles import _union_contains, mc_common_area
 
 TWO_PI = 2.0 * math.pi
 LENS = math.pi / 8 - 0.25
@@ -22,10 +22,27 @@ def region(text, interval, params=None):
     return SectorRegion(PolarCurve(text, params), interval)
 
 
+def contains(region, z):
+    return _union_contains([region], np.abs(z), np.mod(np.angle(z), TWO_PI))
+
+
 class TestSectorRegion:
     def test_rejects_negative_boundary(self):
         with pytest.raises(ValueError, match="non-negative"):
             region("cos(theta)", (0.0, math.pi))
+
+    def test_rejects_undefined_boundary(self):
+        # sqrt(theta) is NaN on [-1, 0): no value is not a non-negative one
+        with pytest.raises(ValueError, match="non-negative"):
+            region("sqrt(theta)", (-1.0, 1.0))
+
+    def test_end_may_miss_its_zero_by_the_cut_gap(self):
+        # 100*theta is -5e-8 at an end 5e-10 from its zero, within the slope
+        # times the cut gap (1e-9); 2e-9 away it is not, nor is a pole at an end
+        assert region("100*theta", (-5e-10, 1.0)).interval == (-5e-10, 1.0)
+        for text, interval in (("100*theta", (-2e-9, 1.0)), ("-1/theta", (-1.0, 0.0))):
+            with pytest.raises(ValueError, match="non-negative"):
+                region(text, interval)
 
     def test_rejects_wide_interval(self):
         with pytest.raises(ValueError, match="full turn"):
@@ -34,7 +51,7 @@ class TestSectorRegion:
     def test_membership(self):
         disk = region("1", (0.0, TWO_PI))
         z = np.array([0.5 + 0.1j, 1.2 + 0.0j, -0.3 - 0.4j])
-        assert list(disk.contains(z)) == [True, False, True]
+        assert list(contains(disk, z)) == [True, False, True]
 
     def test_membership_beyond_principal_range(self):
         lam = 2.0
@@ -42,7 +59,7 @@ class TestSectorRegion:
         large = limacon_analysis(lam).large_loop
         # the bottom of the large loop sits at angle 3*pi/2 with radius 3
         z = np.array([-2.9j, -3.1j, 0.5 + 0.0j])
-        assert list(large.contains(z)) == [True, False, True]
+        assert list(contains(large, z)) == [True, False, True]
         assert large.interval[1] > TWO_PI
         assert theta0 < math.pi / 4
 

@@ -6,14 +6,14 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curvekit.cli import _csv_trace, _fmt, _fmt_rows, main
-from curvekit.roulette import cycloid_point
+from curvekit.cli import SCHEMA, _csv_trace, _fmt, _fmt_rows, main
+from oracles import cycloid_point
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -273,6 +273,42 @@ class TestDecomposeCommand:
         assert code == 0
         pieces = json.loads(out)["pieces"]
         assert [(p["expression"], p["interval"], p["traced_twice"]) for p in pieces] == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["decompose", "--c1", "theta"], ["area", "--loop", "--c1", "theta"],
+         ["area", "--c1", "1", "--c2", "theta"]],
+        ids=["decompose", "loop", "common"],
+    )
+    def test_aperiodic_curve_needs_a_domain(self, argv):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_inprocess(argv)
+        assert (code, out) == (1, "")
+        assert err.getvalue() == "error: curve 'theta' has no polar period; pass --domain\n"
+
+    @pytest.mark.parametrize(
+        "c1, pieces, digest, area",
+        [
+            ("sin(45*theta)", 45,
+             "4dae9aef5703f8e84ab3158063bb1b4db5fc8579e2b31cd4d7c7440cef8af376", "0.785398163397"),
+            ("cos(51*theta)", 52,
+             "22beb2f6ec5983ec51e62e822b964d49b0e39199482b9c1078ef408682e7efd6", "0.785398163397"),
+            ("sin(54*theta)", 108,
+             "19268f94d26fff5e4928ba8f72bc75730a50f1c7ee6a169323715794bc1876bc", "1.57079632679"),
+        ],
+    )
+    def test_fast_roses(self, c1, pieces, digest, area):
+        # a piece end is a root known to 1e-10, where |f| = N*|cos| reaches
+        # past 1e-9 from N = 45: the end samples allow for that slope
+        code, out = run_inprocess(["decompose", "--c1", c1])
+        assert code == 0
+        flags = [p["traced_twice"] for p in json.loads(out)["pieces"]]
+        assert len(flags) == pieces and not any(flags)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        code, out = run_inprocess(["area", "--loop", "--c1", c1])
+        assert code == 0
+        assert out == f'{{\n  "schema": "{SCHEMA}",\n  "area": {area}\n}}\n'
 
     @pytest.mark.parametrize(
         "c1, message",

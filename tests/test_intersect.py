@@ -12,7 +12,7 @@ from curvekit.intersect import (
     origin_on_curve,
 )
 from curvekit.polar import PolarCurve
-from helpers import record_hausdorff_bounds
+from helpers import radius_at, record_hausdorff_bounds
 from oracles import rasterized_intersections
 
 SQ3_4 = math.sqrt(3.0) / 4.0
@@ -30,10 +30,11 @@ def smallest_witnesses(f, g, z):
     phase = cmath.phase(z) % (2.0 * math.pi)
     for k in range(-1, n1):
         theta1 = phase + k * math.pi
-        if not 0.0 <= theta1 < n1 * math.pi or abs(f.point(theta1) - z) >= 1e-7:
+        if not 0.0 <= theta1 < n1 * math.pi or abs(radius_at(f, theta1) * cmath.exp(1j * theta1) - z) >= 1e-7:
             continue
         for m in range(n2):
-            if abs(g.point(theta1 + m * math.pi) - z) < 1e-7:
+            theta2 = theta1 + m * math.pi
+            if abs(radius_at(g, theta2) * cmath.exp(1j * theta2) - z) < 1e-7:
                 return theta1, theta1 + m * math.pi
     raise AssertionError(f"no witness pair for {z}")
 
@@ -178,8 +179,8 @@ class TestInvariants:
         f = curve("sin(3*theta)")
         g = curve("cos(3*theta)")
         for p in result.points:
-            z1 = f.eval(p.theta1) * np.exp(1j * p.theta1)
-            z2 = g.eval(p.theta2) * np.exp(1j * p.theta2)
+            z1 = radius_at(f, p.theta1) * np.exp(1j * p.theta1)
+            z2 = radius_at(g, p.theta2) * np.exp(1j * p.theta2)
             assert abs(z1 - p.point) < 1e-8
             assert abs(z2 - p.point) < 1e-8
 

@@ -1,6 +1,7 @@
 """Property tests for the paper's invariants: areas under rotation, the
-piece decomposition's area identity, the equality rule at every reported
-intersection, and a CLI that answers or exits cleanly on any expression.
+piece decomposition's area identity, the rose loop areas, the equality rule
+at every reported intersection, and a CLI that answers or exits cleanly on
+any expression.
 
 Hypothesis runs derandomized and without an example database, so every run
 draws the same examples."""
@@ -19,7 +20,7 @@ from curvekit.expr import to_string
 from curvekit.intersect import intersections
 from curvekit.numerics import RESIDUAL_GATE
 from curvekit.polar import PolarCurve, positive_pieces
-from helpers import PARAM_NAMES, random_ast
+from helpers import PARAM_NAMES, radius_at, random_ast
 
 
 def examples(n):
@@ -84,6 +85,15 @@ def test_piece_areas_sum_to_the_loop_area(spec, start, width):
     assert math.isclose(total, loop_area(SectorRegion(curve, curve.domain)), abs_tol=1e-9)
 
 
+@examples(20)
+@given(st.sampled_from(("sin", "cos")), st.integers(1, 60))
+def test_rose_loops_sum_to_the_rose_area(trig, n):
+    # from N = 45 a piece end, a root known to 1e-10, has |f| above 1e-9
+    pieces = regions(on_period((f"{trig}({n}*theta)", {})))
+    expected = math.pi / 4 if n % 2 else math.pi / 2
+    assert math.isclose(sum(map(loop_area, pieces)), expected, abs_tol=1e-9)
+
+
 @examples(100)
 @given(CURVES, CURVES)
 def test_every_point_satisfies_the_equality_rule(spec_f, spec_g):
@@ -96,8 +106,8 @@ def test_every_point_satisfies_the_equality_rule(spec_f, spec_g):
         m = round((p.theta2 - p.theta1) / math.pi)
         assert 0 <= m < n2
         assert abs(p.theta2 - (p.theta1 + m * math.pi)) < 1e-12
-        assert abs(f.eval(p.theta1) * np.exp(1j * p.theta1) - p.point) < RESIDUAL_GATE
-        assert abs(g.eval(p.theta2) * np.exp(1j * p.theta2) - p.point) < RESIDUAL_GATE
+        assert abs(radius_at(f, p.theta1) * np.exp(1j * p.theta1) - p.point) < RESIDUAL_GATE
+        assert abs(radius_at(g, p.theta2) * np.exp(1j * p.theta2) - p.point) < RESIDUAL_GATE
 
 
 PARAMS = [arg for name, value in zip(PARAM_NAMES, ("1.5", "2", "0.7", "-1.2"))
