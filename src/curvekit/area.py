@@ -62,6 +62,9 @@ def _overlap_windows(a: tuple[float, float], b: tuple[float, float]):
 
 def region_intersection_area(a: SectorRegion, b: SectorRegion) -> float:
     """Area of the common part of two sector regions (0 when disjoint)."""
+    # no windows in the canonical order below, which sorts by interval first
+    if not any(_overlap_windows(*sorted((a.interval, b.interval)))):
+        return 0.0
     # canonical argument order makes the result exactly symmetric
     key = lambda reg: (reg.interval, reg.boundary.text, tuple(sorted(reg.boundary.params.items())))
     if key(b) < key(a):

@@ -12,7 +12,7 @@ f(theta) = (-1)^k g(theta + k*pi), and k reduces mod n2 because
 (-1)^n2 g(theta + n2*pi) = g(theta).  Each point is reported with its
 smallest witnesses theta1 and theta2 = theta1 + m*pi.  The origin carries no
 angle and is tested separately: it is common exactly when each radius
-function vanishes somewhere.
+function vanishes somewhere, and the search for each stops at its first zero.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import POLE_MAGNITUDE, find_roots, linspace, symmetric_hausdorff
+from .numerics import (DEDUPE_FACTOR, DEFAULT_TOL, POLE_MAGNITUDE, dedupe_roots, find_roots,
+                       linspace, refine_brackets, root_brackets, symmetric_hausdorff)
 from .polar import PolarCurve
 
 ZERO_RADIUS_TOL = 1e-9
@@ -61,12 +62,28 @@ def graph_points(curve: PolarCurve) -> np.ndarray:
 
 
 def origin_on_curve(curve: PolarCurve) -> float | None:
-    """Smallest angle in the period window where the radius vanishes, if any."""
-    roots = find_roots(curve.eval_many, *curve.period_window())
-    for theta, residual in zip(roots.roots, roots.residuals):
-        if residual < ZERO_RADIUS_TOL:
-            return float(theta)
-    return None
+    """Smallest angle in the period window where the radius vanishes, if any:
+    find_roots' first root there with a residual below ZERO_RADIUS_TOL.  The
+    search stops at that zero once no root left unrefined can join it in the
+    dedupe.  The brackets of the first start cell are refined first, then the rest."""
+    xs, ys, idx, touch, exact = root_brackets(curve.eval_many, *curve.period_window(), None)
+    touch_start = np.maximum(touch - 1, 0)
+    starts = np.union1d(idx, touch_start)
+    parts, done = [(exact, np.zeros(exact.size))], 0  # brackets at starts[:done] refined
+    while True:
+        bound = float(xs[starts[done]]) if done < starts.size else math.inf
+        candidates, residuals = map(np.concatenate, zip(*parts))
+        roots = dedupe_roots(candidates[candidates < bound], residuals[candidates < bound])
+        first = next((j for j, r in enumerate(roots.residuals) if r < ZERO_RADIUS_TOL), None)
+        if first is not None and (first + 1 < len(roots)  # no root beyond bound can join it
+                                  or bound - roots.roots[first] >= DEDUPE_FACTOR * DEFAULT_TOL):
+            return roots.roots[first]
+        if done == starts.size:
+            return None
+        in_batch = (lambda s: s == starts[0]) if done == 0 else (lambda s: s > starts[0])
+        done = 1 if done == 0 else starts.size
+        parts.append(refine_brackets(curve.eval_many, xs, ys, idx[in_batch(idx)],
+                                     touch[in_batch(touch_start)]))
 
 
 def intersections(c1: PolarCurve, c2: PolarCurve) -> IntersectionResult:

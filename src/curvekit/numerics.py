@@ -4,7 +4,9 @@ the Hausdorff distance between sampled graphs.
 These are the shared scalar-equation and integral engines for the polar,
 intersection, area and roulette computations.  Both take functions that map
 numpy arrays to arrays (every curve evaluator in this package does) and call
-them once per refinement round with every open bracket's or panel's points.
+them once per refinement round with every open bracket's or panel's points,
+except that a call with only a few brackets refines each alone on Python
+floats, with the same rounds and bits as inside a stack.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ TANGENTIAL_PREFILTER = 1e-3
 POLE_MAGNITUDE = 1e12
 DEDUPE_FACTOR = 10.0
 _MAX_ROUNDS = 200  # a safety cap: halving a default grid cell reaches DEFAULT_TOL in 25
+_SCALAR_BRACKETS = 4  # refined one by one on floats up to here; past it vector rounds win
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,10 @@ def _chandrupatla(f, lo, hi, flo, fhi):
     bracket.  A bracket closes once it is narrower than DEFAULT_TOL (or an
     exact zero is hit); its root is the bracket end with the smaller |f|.
     """
+    if lo.size <= _SCALAR_BRACKETS:
+        return np.array([_chandrupatla_one(f, *v) for v in
+                         zip(lo.tolist(), hi.tolist(), flo.tolist(), fhi.tolist())])
     roots = np.empty(lo.shape)
-    if not lo.size:
-        return roots
     open_ = np.arange(lo.size)
     x1, f1 = lo, flo      # newest sample
     x2, f2 = hi, fhi      # other end of the bracket
@@ -131,13 +135,44 @@ def _chandrupatla(f, lo, hi, flo, fhi):
     return roots
 
 
+def _chandrupatla_one(f, x1, x2, f1, f2):
+    """_chandrupatla's rounds for one bracket on Python floats, which round as
+    numpy's.  No divisor is zero (Python would raise): x3 - x2 and width are not
+    while a bracket is open, and f32 only without a sign change, where numpy's
+    phi is inf or NaN and fails the IQI test, as f12 == 0 and f3 == f1 would.
+    min and max differ from numpy's on NaN only where x is NaN either way."""
+    t = 0.5
+    with np.errstate(all="ignore"):  # for f, as in the vector rounds
+        for _ in range(_MAX_ROUNDS):
+            x = x1 + t * (x2 - x1)
+            fx = _eval_grid(f, np.array([x])).item()
+            if (fx <= 0) != (f1 <= 0):
+                x1, f1, x2, f2 = x2, f2, x1, f1
+            x3, f3, x1, f1 = x1, f1, x, fx
+            a1, a2 = abs(f1), abs(f2)
+            root = x1 if a1 < a2 else x2
+            width = abs(x2 - x1)
+            if width < DEFAULT_TOL or ((a1 == 0.0 or a2 == 0.0) and not math.isnan(a1 + a2)):
+                break
+            f12, f32 = f1 - f2, f3 - f2
+            xi = (x1 - x2) / (x3 - x2)
+            alpha = (x3 - x1) / (x2 - x1)
+            phi = f12 / f32 if f32 else math.inf
+            rest = 1.0 - phi
+            t = (f1 / f12 * f3 / f32 - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
+                 if phi * phi < xi and rest * rest < 1.0 - xi else 0.5)
+            edge = 0.5 * DEFAULT_TOL / width
+            t = min(max(t, edge), 1.0 - edge)
+    return root
+
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_abs_min(f, lo, hi):
     """Golden-section search for the minimum of |f| on every [lo, hi] at once."""
-    if not lo.size:
-        return lo
+    if lo.size <= _SCALAR_BRACKETS:
+        return np.array([_golden_abs_min_one(f, a, b) for a, b in zip(lo.tolist(), hi.tolist())])
     a, b = lo.copy(), hi.copy()
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
@@ -154,6 +189,24 @@ def _golden_abs_min(f, lo, hi):
         d[r] = a[r] + _INV_PHI * (b[r] - a[r])
         fx = np.abs(_eval_grid(f, np.concatenate([c[l], d[r]])))
         fc[l], fd[r] = fx[:l.size], fx[l.size:]
+    return 0.5 * (a + b)
+
+
+def _golden_abs_min_one(f, a, b):
+    """_golden_abs_min's rounds for one bracket, on Python floats (no division)."""
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = np.abs(_eval_grid(f, np.array([c, d]))).tolist()
+    for _ in range(_MAX_ROUNDS):
+        if not b - a >= DEFAULT_TOL:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = abs(_eval_grid(f, np.array([c])).item())
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = abs(_eval_grid(f, np.array([d])).item())
     return 0.5 * (a + b)
 
 
@@ -174,6 +227,19 @@ def find_roots(
     (poles), never as crossings, and pole-side "roots" are rejected by the
     residual gate.
     """
+    xs, ys, idx, touch, exact = root_brackets(f, a, b, grid_n)
+    if not (idx.size or touch.size or exact.size):
+        return RootList((), ())
+    refined, residual = refine_brackets(f, xs, ys, idx, touch)
+    candidates = np.concatenate([exact, refined])
+    values = np.concatenate([np.zeros(exact.size), residual])
+    keep = (np.abs(candidates - float(b)) > DEDUPE_FACTOR * DEFAULT_TOL) | (not right_open)
+    return dedupe_roots(candidates[keep], values[keep])
+
+
+def root_brackets(f, a: float, b: float, grid_n: int | None):
+    """find_roots' grid xs on [a, b], f's values ys there, the cells idx where f
+    changes sign, the nodes touch at small local minima of |f|, the exact zeros."""
     a = float(a)
     b = float(b)
     if not a < b:
@@ -195,30 +261,29 @@ def find_roots(
     touch = (ay > 0.0) & (ay < TANGENTIAL_PREFILTER)
     touch[1:] &= ok[:-1] & (ay[:-1] >= ay[1:]) & flat
     touch[:-1] &= ok[1:] & (ay[1:] >= ay[:-1]) & flat
-    touch = touch.nonzero()[0]
-    idx = crossing.nonzero()[0]
-    exact = xs[ys == 0.0]
-    if not (idx.size or touch.size or exact.size):
-        return RootList((), ())
+    return xs, ys, crossing.nonzero()[0], touch.nonzero()[0], xs[ys == 0.0]
 
+
+def refine_brackets(f, xs, ys, idx, touch):
+    """The roots refined in the cells idx and around the nodes touch that pass, and |f| there."""
     refined = np.concatenate([
         _chandrupatla(f, xs[idx], xs[idx + 1], ys[idx], ys[idx + 1]),
-        _golden_abs_min(f, xs[np.maximum(touch - 1, 0)], xs[np.minimum(touch + 1, grid_n)]),
+        _golden_abs_min(f, xs[np.maximum(touch - 1, 0)], xs[np.minimum(touch + 1, xs.size - 1)]),
     ])
     residual = np.abs(_eval_grid(f, refined)) if refined.size else refined
     passed = residual < TANGENTIAL_GATE
     passed[:idx.size] = residual[:idx.size] < RESIDUAL_GATE
+    return refined[passed], residual[passed]
 
-    candidates = np.concatenate([exact, refined[passed]])
-    values = np.concatenate([np.zeros(exact.size), residual[passed]])
+
+def dedupe_roots(candidates, values) -> RootList:
+    """The candidates sorted, one closer than DEDUPE_FACTOR*DEFAULT_TOL to the
+    root kept before it merged into that root, replacing it if its value is less."""
     order = np.argsort(candidates, kind="stable")
-    gap = DEDUPE_FACTOR * DEFAULT_TOL
     roots: list[float] = []
     residuals: list[float] = []
     for root, value in zip(candidates[order].tolist(), values[order].tolist()):
-        if right_open and abs(root - b) <= gap:
-            continue
-        if roots and root - roots[-1] < gap:
+        if roots and root - roots[-1] < DEDUPE_FACTOR * DEFAULT_TOL:
             if value < residuals[-1]:
                 roots[-1] = root
                 residuals[-1] = value

@@ -53,6 +53,7 @@ class PolarCurve:
         self._program = None
         self._period = None  # smallest multiple found so far
         self._period_searched = 0  # highest multiple exhaustively scanned
+        self._nonnegative_on = set()  # intervals sign_change_sample passed
 
     def __repr__(self):
         return f"PolarCurve({self.text!r}, domain={self.domain})"
@@ -185,8 +186,10 @@ def sign_change_sample(curve: PolarCurve, interval: tuple[float, float]) -> int 
     """None when the curve is non-negative on all SIGN_SAMPLES angles spanning
     the interval (SIGN_TOL, with the end slack; NaN fails).  Otherwise the
     index where it changes sign: the first failing sample, or, when the first
-    sample fails, the first that does not (0 if none)."""
+    sample fails, the first that does not (0 if none).  Passes are kept on the curve."""
     lo, hi = interval
+    if (lo, hi) in curve._nonnegative_on:
+        return None
     values = curve.eval_many(linspace(lo, hi, SIGN_SAMPLES))
     failing = ~(values >= -SIGN_TOL)
     for end, inner in ((0, 1), (-1, -2)):
@@ -195,6 +198,8 @@ def sign_change_sample(curve: PolarCurve, interval: tuple[float, float]) -> int 
             slope = rise * (SIGN_SAMPLES - 1) / (hi - lo)
             failing[end] = not (math.isfinite(slope)
                                 and values[end] >= -SIGN_TOL - PIECE_CUT_GAP * slope)
+    if not failing.any():
+        curve._nonnegative_on.add((lo, hi))
     return int(np.argmax(failing != failing[0])) if failing.any() else None
 
 

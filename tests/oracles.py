@@ -18,6 +18,10 @@
   costs were cut, kept verbatim (np.linspace grid, np.r_ masks, np.clip,
   compaction every round); the lean version must return the same roots and
   residuals bit for bit.
+- full_scan_origin is intersect.origin_on_curve as it was before it stopped
+  at the first zero: one full find_roots over the period window, of which it
+  keeps the first root with a residual below ZERO_RADIUS_TOL.  The early
+  stop must return the same witness.
 - brute_hausdorff is the plain reference for numerics.symmetric_hausdorff:
   every point pair in chunks of 1,024 rows, each distance np.abs of a complex
   difference, so the bounded sweep must match it bit for bit below its bound.
@@ -43,6 +47,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from curvekit.expr import BinOp, Call, Const, Neg, Param, Var
+from curvekit.intersect import ZERO_RADIUS_TOL
 from curvekit.numerics import (
     DEDUPE_FACTOR,
     DEFAULT_GRID_PER_TWO_PI,
@@ -53,6 +58,7 @@ from curvekit.numerics import (
     RESIDUAL_GATE,
     TANGENTIAL_GATE,
     TANGENTIAL_PREFILTER,
+    find_roots,
 )
 from curvekit.roulette import REGULARITY_TOL, RegularityError, arc_length
 
@@ -378,6 +384,15 @@ def frozen_find_roots(
         roots.append(root)
         residuals.append(value)
     return tuple(roots), tuple(residuals)
+
+
+def full_scan_origin(curve):
+    """Smallest angle in the period window where the radius vanishes, if any."""
+    roots = find_roots(curve.eval_many, *curve.period_window())
+    for theta, residual in zip(roots.roots, roots.residuals):
+        if residual < ZERO_RADIUS_TOL:
+            return float(theta)
+    return None
 
 
 def brute_hausdorff(za, zb):

@@ -11,7 +11,7 @@ from curvekit.area import (
     region_intersection_area,
     rose_intersection_area,
 )
-from curvekit.polar import PolarCurve, positive_pieces
+from curvekit.polar import Piece, PolarCurve, positive_pieces
 from oracles import _union_contains, mc_common_area
 
 TWO_PI = 2.0 * math.pi
@@ -43,6 +43,19 @@ class TestSectorRegion:
         for text, interval in (("100*theta", (-2e-9, 1.0)), ("-1/theta", (-1.0, 0.0))):
             with pytest.raises(ValueError, match="non-negative"):
                 region(text, interval)
+
+    def test_piece_is_not_sampled_again(self, monkeypatch):
+        pieces = positive_pieces(PolarCurve("sin(6*theta)"))
+        monkeypatch.setattr(PolarCurve, "eval_many", lambda self, thetas: pytest.fail("sampled"))
+        assert [SectorRegion.from_piece(p).interval for p in pieces] == [
+            p.interval for p in pieces]
+
+    def test_hand_built_piece_that_goes_negative(self):
+        c = PolarCurve("sin(6*theta)")
+        positive_pieces(c)  # records the intervals that passed on c
+        for interval in ((0.0, 1.0), (math.pi / 6, math.pi / 3)):
+            with pytest.raises(ValueError, match="non-negative"):
+                SectorRegion.from_piece(Piece(c, interval, traced_twice=False))
 
     def test_rejects_wide_interval(self):
         with pytest.raises(ValueError, match="full turn"):

@@ -1,10 +1,12 @@
 import cmath
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curvekit import intersect
+from curvekit import intersect, numerics
 from curvekit.intersect import (
     IDENTICAL_GRAPH_TOL,
     IdenticalCurvesError,
@@ -13,7 +15,7 @@ from curvekit.intersect import (
 )
 from curvekit.polar import PolarCurve
 from helpers import radius_at, record_hausdorff_bounds
-from oracles import rasterized_intersections
+from oracles import full_scan_origin, rasterized_intersections
 
 SQ3_4 = math.sqrt(3.0) / 4.0
 
@@ -72,6 +74,75 @@ class TestOriginOnCurve:
         lam = 2.0
         theta = origin_on_curve(curve("1 - lambda*sin(theta)", {"lambda": lam}))
         assert theta == pytest.approx(math.asin(1.0 / lam), abs=1e-9)
+
+
+def library_intersect_curves(seeds, count):
+    """Every distinct curve of the intersect ops among the first count ops of
+    the benchmark's `library` workload for each seed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    texts = {}
+    for seed in seeds:
+        for op in inputs.ops_for("library", seed)[:count]:
+            if op["family"] == "intersect":
+                for text, params in ((op["c1"], op["p1"]), (op["c2"], op["p2"])):
+                    texts[text, tuple(sorted(params.items()))] = None
+    return [curve(text, dict(params)) for text, params in texts]
+
+
+def assert_origin_matches_full_scan(c):
+    expected = full_scan_origin(c)
+    got = origin_on_curve(c)
+    assert got == expected and type(got) is type(expected), c
+
+
+class TestOriginFirstZero:
+    """origin_on_curve stops at the first zero with the full scan's witness."""
+
+    def test_library_curves(self):
+        curves = library_intersect_curves((1, 7), 5400)
+        assert len(curves) > 3000
+        for c in curves:
+            assert_origin_matches_full_scan(c)
+
+    def test_roses_limacons_and_poles(self):
+        texts = [f"{trig}({n}*theta)" for n in range(1, 25) for trig in ("sin", "cos")]
+        texts += [f"cos({n}*theta/3)" for n in range(1, 25)]
+        texts += ["1 + cos(theta)", "tan(theta)", "1/cos(theta)", "sin(theta)^2",
+                  "abs(sin(3*theta))"]
+        curves = [curve(text) for text in texts]
+        curves += [curve(text, {"lambda": lam})
+                   for lam in (0.3, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 2.8, 3.0)
+                   for text in ("1 - lambda*sin(theta)", "1 + lambda*cos(theta)",
+                                "lambda*cos(theta) - 1")]
+        found = 0
+        for c in curves:
+            assert_origin_matches_full_scan(c)
+            found += origin_on_curve(c) is not None
+        assert found > 90
+
+    def test_dedupe_keeps_a_later_root_with_a_smaller_residual(self):
+        # zeros 8e-10 apart straddle grid node 100 of [0, 2*pi]; each cell's
+        # root passes, and the dedupe keeps the second, with the smaller |f|
+        node = 100 * 2.0 * math.pi / 2048
+        c = curve("sin(theta - p)*sin(q - theta)", {"p": node - 3e-10, "q": node + 5e-10})
+        roots = numerics.find_roots(c.eval_many, *c.period_window())
+        assert roots.roots[0] > node and roots.residuals[0] < intersect.ZERO_RADIUS_TOL
+        assert_origin_matches_full_scan(c)
+
+    def test_exact_zero_at_the_window_start_refines_no_bracket(self, monkeypatch):
+        # sin(5*theta) is 0 at theta = 0 and rounds to 6e-16 at the window
+        # end pi, a touching-zero bracket the full scan refines
+        calls = []
+        for name in ("_chandrupatla", "_golden_abs_min"):
+            def counting(f, *args, _kernel=getattr(numerics, name), _name=name):
+                calls.append(_name)
+                return _kernel(f, *args)
+            monkeypatch.setattr(numerics, name, counting)
+        assert origin_on_curve(curve("sin(5*theta)")) == 0.0
+        assert calls == []
 
 
 class TestLayerCalls:

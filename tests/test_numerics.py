@@ -12,15 +12,24 @@ from scipy.spatial.distance import directed_hausdorff
 from curvekit.area import SectorRegion, loop_area
 from curvekit.intersect import graph_points
 from curvekit.numerics import (
+    DEFAULT_TOL,
     RESIDUAL_GATE,
     RootList,
+    _chandrupatla,
+    _golden_abs_min,
     find_roots,
     integrate,
     linspace,
     symmetric_hausdorff,
 )
 from curvekit.polar import PolarCurve, positive_pieces
-from oracles import bisection_roots, brute_hausdorff, frozen_find_roots
+from oracles import (
+    _frozen_chandrupatla,
+    _frozen_golden_abs_min,
+    bisection_roots,
+    brute_hausdorff,
+    frozen_find_roots,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -161,8 +170,48 @@ def frozen_reference_equations():
             yield curve.eval_many, a, b, True
 
 
+def _nan_gap(x):
+    # x - 0.25 up to 0.4, NaN up to 0.6, then 1: the first round samples the
+    # NaN, the second hits the exact zero 0.25 with the NaN as the other end
+    return np.where(x <= 0.4, x - 0.25, np.where(x < 0.6, np.nan, 1.0))
+
+
+def _sin5(x):
+    return np.sin(5.0 * x)
+
+
+_PI_GRID = np.linspace(0.0, math.pi, 1025)
+
+# One bracket each: (id, f, lo, hi, f(lo), f(hi)).
+SINGLE_BRACKETS = [
+    ("nan-inside", _nan_gap, 0.0, 1.0, -0.25, 1.0),
+    ("pole-at-hi", lambda x: 1.0 / (1.0 - x) - 3.0, 0.0, 1.0, -2.0, math.inf),
+    ("pole-at-lo", lambda x: 3.0 - 1.0 / x, 0.0, 1.0, -math.inf, 2.0),
+    ("zero-in-round-1", lambda x: x - 0.5, 0.0, 1.0, -0.5, 0.5),
+    ("zero-mid-round", lambda x: x - 0.375, 0.0, 1.0, -0.375, 0.625),
+    ("x3-equals-x2", lambda x: x - 0.25, 0.5, 0.5, -1.0, 1.0),
+    ("no-sign-change", np.ones_like, 0.0, 1e100, 1.0, 1.0),
+    ("no-sign-change-overflow", lambda x: x * x + 1.0, -1e200, 1e200, math.inf, math.inf),
+    ("sin5-crossing", _sin5, _PI_GRID[204], _PI_GRID[205],
+     _sin5(_PI_GRID[204]), _sin5(_PI_GRID[205])),
+    ("sin5-window-end-touch", _sin5, _PI_GRID[1023], _PI_GRID[1024],
+     _sin5(_PI_GRID[1023]), _sin5(_PI_GRID[1024])),
+]
+
+
 class TestFrozenReference:
     """find_roots returns the frozen copy's roots and residuals bit for bit."""
+
+    @pytest.mark.parametrize("f, lo, hi, flo, fhi", [case[1:] for case in SINGLE_BRACKETS],
+                             ids=[case[0] for case in SINGLE_BRACKETS])
+    def test_single_bracket_kernels(self, f, lo, hi, flo, fhi):
+        # a call with one bracket runs its rounds on Python floats
+        args = [np.array([v]) for v in (lo, hi, flo, fhi)]
+        with np.errstate(all="ignore"):
+            assert bits(_chandrupatla(f, *args)) == bits(
+                _frozen_chandrupatla(f, *args, DEFAULT_TOL))
+            assert bits(_golden_abs_min(f, *args[:2])) == bits(
+                _frozen_golden_abs_min(f, *args[:2], DEFAULT_TOL))
 
     def test_fixed_equations(self):
         count = roots = 0
