@@ -25,6 +25,8 @@ class SectorRegion:
     interval: tuple[float, float]
 
     def __post_init__(self):
+        # frozen: store any pair as a tuple, which the canonical order compares
+        object.__setattr__(self, "interval", tuple(self.interval))
         a, b = self.interval
         if not a < b:
             raise ValueError("empty sector interval")

@@ -88,8 +88,11 @@ def _parse_domain(text: str | None) -> tuple[float, float] | None:
 
 def _emit(payload: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as handle:
-            handle.write(payload)
+        try:
+            with open(path, "w") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     else:
         sys.stdout.write(payload)
 

@@ -53,10 +53,17 @@ def linspace(start: float, stop: float, num: int, endpoint: bool = True) -> np.n
     to zero), without np.linspace's dtype and array handling, which costs
     more than the arithmetic at the sizes used here.
     """
+    return _linspace_part(start, stop, num, endpoint, 0, num)
+
+
+def _linspace_part(start: float, stop: float, num: int, endpoint: bool,
+                   lo: int, hi: int) -> np.ndarray:
+    """linspace(start, stop, num, endpoint)[lo:hi] for 0 <= lo <= hi <= num,
+    computed without the rest of it."""
     start, stop = float(start), float(stop)
     div = num - 1 if endpoint else num
     delta = stop - start
-    xs = np.arange(num, dtype=float)
+    xs = np.arange(lo, hi, dtype=float)
     if div > 0:
         step = delta / div
         if step == 0.0:  # subnormal step
@@ -67,7 +74,7 @@ def linspace(start: float, stop: float, num: int, endpoint: bool = True) -> np.n
     else:
         xs *= delta
     xs += start
-    if endpoint and num > 1:
+    if endpoint and hi == num > 1:
         xs[-1] = stop
     return xs
 

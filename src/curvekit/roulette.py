@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from .numerics import G7_NODES, G7_WEIGHTS, integrate, linspace
+from .numerics import G7_NODES, G7_WEIGHTS, _linspace_part, integrate, linspace
 
 REGULARITY_TOL = 1e-9
 
@@ -195,16 +195,14 @@ def roll_state(curve: ParamCurve, cfg: RollConfig, t: float) -> RollState:
     return RollState(float(t), complex(center), float(theta), complex(point), complex(trochoid))
 
 
-# trace works on this many sample gaps at a time: first the Gauss nodes of
-# every gap, then the samples themselves.  All at once, the 1.4e6 nodes of a
-# 2e5-sample trace and their temporaries peak at 58 MB of allocations, and
-# the dozen per-sample arrays at 24 MB; in blocks of 8,192 the trace peaks at
-# 8 MB, most of it the samples, their arc lengths and the output, and each
-# numpy call still spans 8,192 samples or 57,344 nodes, so per-call overhead
-# stays negligible.  A power of two, so the rows of each block's matrix
-# product fall into the same row groups of the BLAS kernel as in one product
-# over all gaps, and the arc lengths come out bit for bit the same.
-_TRACE_BLOCK = 8192
+# trace finishes this many samples, and the Gauss nodes of the gaps that
+# start at them, before it starts on the next ones, so besides the output it
+# holds one block's arrays (about 1.1 MB) whatever the sample count.  Each
+# numpy call still spans 2,048 samples or 14,336 nodes.  A power of two, so
+# the rows of each block's matrix product fall into the same row groups of
+# the BLAS kernel as in one product over all gaps, and the arc lengths come
+# out bit for bit the same.
+_TRACE_BLOCK = 2048
 
 
 def trace(curve: ParamCurve, cfg: RollConfig, t_from: float, t_to: float,
@@ -214,61 +212,69 @@ def trace(curve: ParamCurve, cfg: RollConfig, t_from: float, t_to: float,
     Arc length is accumulated with the 7-point Gauss rule (the G7 half of
     the quadrature's Gauss-Kronrod table) on every sample gap; the
     accumulated value matches the adaptive quadrature within ~1e-12 for
-    smooth speeds.  The Gauss nodes, and then the samples, are evaluated in
-    blocks of _TRACE_BLOCK, so memory stays bounded and the points are bit
-    for bit those of one pass over all of them.  A non-finite or vanishing
-    tangent at any node or sample raises RegularityError.  Whatever the
-    sample count, of the failures a trace has the one raised comes first in
-    this order: a non-finite tangent at a node, a vanishing one at a node,
-    a non-finite one at a sample, a vanishing one at a sample, a failure of
-    the arc length from cfg.t0.
+    smooth speeds.  One pass over blocks of _TRACE_BLOCK samples builds each
+    block's parameters, the Gauss nodes of its gaps, its arc lengths and its
+    points before the next block, so memory stays bounded and the points are
+    bit for bit those of one pass over all of them.  A non-finite or
+    vanishing tangent at any node or sample raises RegularityError.
+    Whatever the sample count, of the failures a trace has the one raised
+    comes first in this order: a non-finite tangent at a node, a vanishing
+    one at a node, a non-finite one at a sample, a vanishing one at a
+    sample, a failure of the arc length from cfg.t0.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
     a, b = curve.domain
     if t_from < a - DOMAIN_TOL or t_to > b + DOMAIN_TOL or not t_from < t_to:
         raise ValueError("trace range outside the curve domain")
-    ts = linspace(t_from, t_to, int(samples))
-    half = 0.5 * (ts[1] - ts[0])
+    samples = int(samples)
+    first, second = _linspace_part(t_from, t_to, samples, True, 0, 2)
+    half = 0.5 * (second - first)
     weights = half * G7_WEIGHTS
+    failure = None  # raised only if no tangent fails its check
+    try:
+        s0 = arc_length(curve, cfg.t0, float(first))
+    except ValueError as error:
+        failure = error
 
-    s = np.empty(ts.shape)  # arc length from t0 at each sample
-    seg_lengths = s[1:]
-    slowest = math.inf  # least tangent speed at the nodes, later the samples too
-    for lo in range(0, seg_lengths.size, _TRACE_BLOCK):
-        starts = ts[lo : min(lo + _TRACE_BLOCK, seg_lengths.size)]
+    program = curve.program("x", "y", "dx", "dy")
+    trochoid = np.empty(samples, dtype=complex)
+    rotation_first = trochoid.nbytes >= _ELISION_BYTES
+    slowest_node = slowest_sample = math.inf  # slowest_sample: NaN once a sample is not finite
+    carry = -0.0  # summed gaps before the block; adding -0.0 keeps every bit
+    for lo in range(0, samples, _TRACE_BLOCK):
+        hi = min(lo + _TRACE_BLOCK, samples)
+        ts = _linspace_part(t_from, t_to, samples, True, lo, hi)
+        starts = ts[: samples - 1 - lo]  # every sample but the last starts a gap
         nodes = (starts + half)[:, None] + half * G7_NODES
         speeds = curve.speed_many(nodes.ravel()).reshape(nodes.shape)
         del nodes
         if not np.all(np.isfinite(speeds)):
             _check_regular(speeds, "on the trace range")  # raises: not finite
-        slowest = min(slowest, float(np.min(speeds)))
-        seg_lengths[lo : lo + starts.size] = speeds @ weights
+        # the last block has no gap when it holds only the last sample
+        slowest_node = min(slowest_node, float(np.min(speeds, initial=math.inf)))
+        # s[j] sums the gaps before sample lo + j in the order of one cumsum
+        # over all gaps; s[-1] carries that sum into the next block
+        s = np.empty(starts.size + 1)
+        s[0] = carry
+        s[1:] = speeds @ weights
         del speeds
-    _check_regular(slowest, "on the trace range")
-    np.cumsum(seg_lengths, out=seg_lengths)
-    failure = None  # raised only if no sample tangent fails its check
-    try:
-        s[0] = arc_length(curve, cfg.t0, float(ts[0]))
-        seg_lengths += s[0]
-    except ValueError as error:
-        failure = error
-
-    program = curve.program("x", "y", "dx", "dy")
-    trochoid = np.empty(ts.shape, dtype=complex)
-    rotation_first = trochoid.nbytes >= _ELISION_BYTES
-    for lo in range(0, ts.size, _TRACE_BLOCK):
-        block = slice(lo, lo + _TRACE_BLOCK)
-        x, y, dx, dy = program(ts[block])
+        np.cumsum(s, out=s)
+        carry = s[-1]
+        if math.isnan(slowest_sample):
+            continue
+        x, y, dx, dy = program(ts)
         velocity = dx + 1j * dy
         speed = np.abs(velocity)
         if not np.all(np.isfinite(speed)):
-            _check_regular(speed, "on the trace range")  # raises: not finite
-        slowest = min(slowest, float(np.min(speed)))
-        if failure is None and slowest > REGULARITY_TOL:
-            trochoid[block] = _assemble(cfg, x + 1j * y, velocity / speed,
-                                        s[block] / cfg.radius, rotation_first)[3]
-    _check_regular(slowest, "on the trace range")
+            slowest_sample = math.nan
+            continue
+        slowest_sample = min(slowest_sample, float(np.min(speed)))
+        if failure is None and min(slowest_node, slowest_sample) > REGULARITY_TOL:
+            trochoid[lo:hi] = _assemble(cfg, x + 1j * y, velocity / speed,
+                                        (s[: ts.size] + s0) / cfg.radius, rotation_first)[3]
+    _check_regular(slowest_node, "on the trace range")
+    _check_regular(slowest_sample, "on the trace range")
     if failure is not None:
         raise failure
     return trochoid

@@ -107,6 +107,13 @@ class TestRegionIntersection:
         a = region("sin(theta)", (0.0, math.pi))
         assert region_intersection_area(a, a) == pytest.approx(loop_area(a), abs=1e-9)
 
+    def test_list_interval_is_stored_as_a_tuple(self):
+        tuples = region_intersection_area(region("1", (0.0, 1.0)), region("1", (0.5, 2.0)))
+        assert tuples == pytest.approx(0.25, abs=1e-12)
+        a, b = region("1", [0.0, 1.0]), region("1", (0.5, 2.0))
+        assert a.interval == (0.0, 1.0)
+        assert region_intersection_area(a, b) == region_intersection_area(b, a) == tuples
+
     def test_disjoint_sectors(self):
         a = region("1", (0.0, math.pi / 4))
         b = region("1", (math.pi, 1.25 * math.pi))

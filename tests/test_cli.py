@@ -423,6 +423,20 @@ class TestRouletteCommand:
         assert result.stdout == b""
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv, target", [
+        (["period", "--c1", "sin(theta)"], "missing/x.json"),  # FileNotFoundError
+        (["roulette", "--base", "line", "--radius", "1", "--samples", "10"], ""),  # a directory
+    ])
+    def test_exits_one_without_traceback(self, tmp_path, argv, target):
+        path = tmp_path / target if target else tmp_path
+        result = run_subprocess([*argv, "--output", str(path)])
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: cannot write {path}: ".encode())
+        assert b"Traceback" not in result.stderr
+        assert result.stdout == b""
+
+
 class TestSchema:
     def test_every_analysis_payload_is_versioned(self):
         commands = [
