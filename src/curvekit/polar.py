@@ -26,6 +26,8 @@ PIECE_MATCH_TOL = 1e-6
 # find_roots never reports two roots closer than this, so a zero within it
 # of a domain end is that end, and no stretch between cuts is shorter
 PIECE_CUT_GAP = DEDUPE_FACTOR * DEFAULT_TOL
+# Offsets past each domain end where the wrap seam compares f: uneven steps
+SEAM_PROBES = (0.0, 0.0137, 0.031)
 # Sign checks sample an interval at SIGN_SAMPLES angles, ends included, and
 # call a value below -SIGN_TOL negative.  A piece end is a root refined to
 # DEFAULT_TOL, or a domain end with a zero within PIECE_CUT_GAP of it, so f
@@ -51,8 +53,7 @@ class PolarCurve:
             raise ValueError("domain must be a non-empty interval")
         self.domain = (a, b)
         self._program = None
-        self._period = None  # smallest multiple found so far
-        self._period_searched = 0  # highest multiple exhaustively scanned
+        self._period = None  # the smallest multiple, once found
         self._nonnegative_on = set()  # intervals sign_change_sample passed
 
     def __repr__(self):
@@ -87,12 +88,9 @@ class PolarCurve:
         by `_rule_misses` on [0, N*pi): the polar graph repeats after N*pi."""
         if self._period is not None:
             return self._period if self._period <= max_multiple else None
-        if self._period_searched >= max_multiple:
-            return None
-        for n in range(self._period_searched + 1, max_multiple + 1):
+        for n in range(1, max_multiple + 1):
             thetas = linspace(0.0, n * math.pi, RULE_SAMPLES, endpoint=False)
             missed = _rule_misses(self, thetas, thetas, (n,))
-            self._period_searched = n
             if not missed.any():
                 self._period = n
                 return n
@@ -237,20 +235,19 @@ def positive_pieces(curve: PolarCurve) -> tuple[Piece, ...]:
         else:
             raw.append((lo, hi, sign))
 
-    # When the domain wraps periodically (f(a+d) == f(b+d)) and the two ends
-    # carry the same sign, the last stretch continues into the first one.
-    if len(raw) > 1 and raw[0][2] == raw[-1][2]:
-        probes = np.array([0.0, 0.0137, 0.031])
-        wrap_ok = bool(
-            np.max(np.abs(curve.eval_many(a + probes) - curve.eval_many(b + probes)))
-            < 1e-9
-        )
-        near_a = abs(raw[0][0] - a) < 1e-9
-        near_b = abs(raw[-1][1] - b) < 1e-9
-        if wrap_ok and near_a and near_b:
-            first = raw.pop(0)
-            last = raw.pop()
-            raw.append((last[0], first[1] + (b - a), last[2]))
+    # The last stretch continues into the first across the seam at b when the
+    # equality rule joins b to a: b - a = k*pi (to PIECE_CUT_GAP) with (-1)^k
+    # the product of their signs, f(b + d) = (-1)^k f(a + d) to RULE_TOL as in
+    # _rule_misses (NaN declines), and the joined stretch at most a full turn.
+    if len(raw) > 1:
+        first, last = raw[0], raw[-1]
+        turn, k = first[2] * last[2], round((b - a) / math.pi)
+        if (k >= 1 and abs(b - a - k * math.pi) < PIECE_CUT_GAP and (-1) ** k == turn
+                and first[1] + (b - a) - last[0] <= TWO_PI):
+            ahead, past = curve.eval_many(np.add.outer((a, b), SEAM_PROBES))
+            with np.errstate(invalid="ignore"):  # inf - inf at a pole declines
+                if np.all(np.abs(past - turn * ahead) < RULE_TOL * np.maximum(1.0, np.abs(ahead))):
+                    raw = raw[1:-1] + [(last[0], first[1] + (b - a), last[2])]
 
     half_turns: dict[bool, PolarCurve] = {}
     pieces: list[Piece] = []

@@ -134,6 +134,15 @@ class TestRegionIntersection:
         value = region_intersection_area(regions[0], regions[1])
         assert value == pytest.approx(math.pi / 4 - 0.5, abs=1e-9)
 
+    def test_wedge_against_a_rose_on_half_a_turn(self):
+        # cos(2*theta) on [0, pi] has no seam at pi (pi is an odd multiple and
+        # both ends are positive), so its piece [0, pi/4] meets the wedge
+        pieces = positive_pieces(PolarCurve("cos(2*theta)", domain=(0.0, math.pi)))
+        assert len(pieces) == 3
+        wedge = region("1", (0.0, math.pi / 8))
+        total = sum(region_intersection_area(wedge, SectorRegion.from_piece(p)) for p in pieces)
+        assert total == pytest.approx(math.pi / 32 + 1 / 16, abs=1e-12)
+
     def test_rotation_invariance(self):
         a = region("sin(theta)", (0.0, math.pi))
         b = region("cos(theta)", (-math.pi / 2, math.pi / 2))

@@ -148,6 +148,12 @@ class TestAreaCommand:
         code, out = run_inprocess(["area", "--loop", "--c1", "1"])
         assert json.loads(out)["area"] == pytest.approx(math.pi, abs=1e-6)
 
+    def test_loop_wider_than_a_full_turn_is_not_merged(self):
+        # cos(theta/3) wraps at 3*pi, but its merged stretch would be 3*pi wide
+        code, out = run_inprocess(["area", "--loop", "--c1", "cos(theta/3)"])
+        assert code == 0
+        assert out == f'{{\n  "schema": "{SCHEMA}",\n  "area": 2.35619449019\n}}\n'
+
     def test_needs_exactly_one_mode(self):
         code, _ = run_inprocess(["area", "--c1", "sin(theta)"])
         assert code == 1
@@ -223,8 +229,16 @@ class TestDecomposeCommand:
         assert len(payload["pieces"]) == 2
         assert sum(p["traced_twice"] for p in payload["pieces"]) == 1
 
+    def test_curve_undefined_past_the_domain_end(self):
+        # sqrt(2*pi - theta) is NaN past b, which declines the seam quietly
+        code, out = run_inprocess(["decompose", "--c1", "sqrt(2*pi - theta)*cos(theta)",
+                                   "--domain", "0:2*pi"])
+        assert code == 0
+        assert len(json.loads(out)["pieces"]) == 3
+
     # sha256 of stdout, recorded when every piece compiled its own program
-    # (sin(4*theta) since zeros within 1e-9 of a domain end snap to the end);
+    # (sin(4*theta) since zeros within 1e-9 of a domain end snap to the end,
+    # cos(3*theta/5) since its wrap seam follows the equality rule);
     # sin(4*theta) on [0, 2*pi] takes both half-turn branches
     DIGESTS = {
         ("cos(theta/2)", "--domain", "0:6.2832"):
@@ -234,7 +248,7 @@ class TestDecomposeCommand:
         ("sin(4*theta)", "--domain", "0:2*pi"):
             "933b8a126908cff7dfaaaf3dde76ea0615972c4a0c29cc0d99a699df54e83e36",
         ("cos(3*theta/5)",):
-            "f6a913cd66e7cabe634037f58e03c4eb515eb7bb6bb463fa7783e8162d50c5b0",
+            "3bab6fe711951b30d4b444d90072e6c9f1645a51fb10934dc0a4cf6628de2ec1",
     }
 
     @pytest.mark.parametrize("args", list(DIGESTS), ids=lambda args: args[0])
@@ -292,8 +306,8 @@ class TestDecomposeCommand:
         [
             ("sin(45*theta)", 45,
              "4dae9aef5703f8e84ab3158063bb1b4db5fc8579e2b31cd4d7c7440cef8af376", "0.785398163397"),
-            ("cos(51*theta)", 52,
-             "22beb2f6ec5983ec51e62e822b964d49b0e39199482b9c1078ef408682e7efd6", "0.785398163397"),
+            ("cos(51*theta)", 51,
+             "34916b48983ade33d3d481221cb19b2cb2333f639612e5aec5da7ec8dcb10974", "0.785398163397"),
             ("sin(54*theta)", 108,
              "19268f94d26fff5e4928ba8f72bc75730a50f1c7ee6a169323715794bc1876bc", "1.57079632679"),
         ],

@@ -251,6 +251,28 @@ class TestPositivePieces:
         (piece,) = positive_pieces(PolarCurve("sin(2*theta)", domain=(-9e-10, 1.0)))
         assert piece.interval == (-9e-10, 1.0) and not piece.traced_twice
 
+    @pytest.mark.parametrize(
+        "text, domain, intervals",
+        [
+            # b - a = pi is odd, so equal signs at both ends meet no seam:
+            # [0, pi/4] stays, and nothing is merged across pi
+            ("cos(2*theta)", (0.0, math.pi),
+             [(0.0, math.pi / 4), (3 * math.pi / 4, math.pi), (5 * math.pi / 4, 7 * math.pi / 4)]),
+            # b - a = 2*pi is even, so opposite signs meet no seam either
+            ("cos(theta/2)", (0.0, TWO_PI), [(0.0, math.pi), (0.0, math.pi)]),
+            # odd, with opposite signs: the last stretch's half-turn continues
+            # into the first, so three petals make three pieces
+            ("cos(3*theta)", (0.0, math.pi),
+             [(math.pi / 2, 5 * math.pi / 6), (7 * math.pi / 6, 3 * math.pi / 2),
+              (11 * math.pi / 6, 13 * math.pi / 6)]),
+        ],
+        ids=["cos(2*theta)-half-turn", "cos(theta/2)-full-turn", "cos(3*theta)-half-turn"],
+    )
+    def test_the_seam_follows_the_equality_rule(self, text, domain, intervals):
+        dec = positive_pieces(PolarCurve(text, domain=domain))
+        assert [p.interval for p in dec] == [pytest.approx(i, abs=1e-8) for i in intervals]
+        assert not any(p.traced_twice for p in dec)
+
     def test_degenerate_zero_curve_single_piece(self):
         dec = positive_pieces(PolarCurve("0"))
         assert len(dec) == 1

@@ -88,10 +88,14 @@ def test_piece_areas_sum_to_the_loop_area(spec, start, width):
 @examples(20)
 @given(st.sampled_from(("sin", "cos")), st.integers(1, 60))
 def test_rose_loops_sum_to_the_rose_area(trig, n):
-    # from N = 45 a piece end, a root known to 1e-10, has |f| above 1e-9
-    pieces = regions(on_period((f"{trig}({n}*theta)", {})))
+    # one piece per petal, N of them for odd N and 2N for even N, none traced
+    # twice; from N = 45 a piece end, a root known to 1e-10, has |f| above 1e-9
+    pieces = positive_pieces(on_period((f"{trig}({n}*theta)", {})))
+    assert len(pieces) == (n if n % 2 else 2 * n)
+    assert not any(piece.traced_twice for piece in pieces)
     expected = math.pi / 4 if n % 2 else math.pi / 2
-    assert math.isclose(sum(map(loop_area, pieces)), expected, abs_tol=1e-9)
+    total = sum(loop_area(SectorRegion.from_piece(piece)) for piece in pieces)
+    assert math.isclose(total, expected, abs_tol=1e-9)
 
 
 @examples(100)
