@@ -16,6 +16,14 @@ import numpy as np
 from .numerics import TWO_PI, find_roots, integrate
 from .polar import PolarCurve, Piece, sign_change_sample
 
+# A sector may be wider than a full turn by this much: a piece's interval
+# ends are zeros refined to DEFAULT_TOL, so one turn measures 2*pi to about it
+SECTOR_WIDTH_SLACK = 1e-9
+# An overlap window, or a stretch between crossings, narrower than this holds
+# at most f^2/2 times it of area, far below the quadrature's DEFAULT_TOL: it
+# is skipped, and a crossing this close to a window end is that end
+OVERLAP_GAP = 1e-12
+
 
 @dataclass(frozen=True)
 class SectorRegion:
@@ -30,7 +38,7 @@ class SectorRegion:
         a, b = self.interval
         if not a < b:
             raise ValueError("empty sector interval")
-        if b - a > TWO_PI + 1e-9:
+        if b - a > TWO_PI + SECTOR_WIDTH_SLACK:
             raise ValueError("sector interval wider than a full turn")
         if sign_change_sample(self.boundary, self.interval) is not None:
             raise ValueError("boundary must be non-negative on the interval")
@@ -58,7 +66,7 @@ def _overlap_windows(a: tuple[float, float], b: tuple[float, float]):
     for k in range(k_lo, k_hi + 1):
         lo = max(a0, b0 + k * TWO_PI)
         hi = min(a1, b1 + k * TWO_PI)
-        if hi - lo > 1e-12:
+        if hi - lo > OVERLAP_GAP:
             yield lo, hi, k * TWO_PI
 
 
@@ -82,9 +90,10 @@ def region_intersection_area(a: SectorRegion, b: SectorRegion) -> float:
         def integrand(th, _s=shift):
             return np.minimum(fa(th), fb(th - _s)) ** 2
 
-        cuts = [lo] + [t for t in find_roots(diff, lo, hi) if lo + 1e-12 < t < hi - 1e-12] + [hi]
+        roots = find_roots(diff, lo, hi)
+        cuts = [lo] + [t for t in roots if lo + OVERLAP_GAP < t < hi - OVERLAP_GAP] + [hi]
         for p, q in zip(cuts[:-1], cuts[1:]):
-            if q - p < 1e-12:
+            if q - p < OVERLAP_GAP:
                 continue
             total += 0.5 * integrate(integrand, p, q)
     return total

@@ -137,15 +137,15 @@ def _fold_children(node: Node) -> Node | None:
     return folded if math.isfinite(folded.value) else None
 
 
-def _contains(node: Node, kinds) -> bool:
+def contains(node: Node, kinds) -> bool:
     """Whether any node of the tree is an instance of kinds."""
     if isinstance(node, kinds):
         return True
     if isinstance(node, (Const, Var, Param)):
         return False
     if isinstance(node, (Neg, Call)):
-        return _contains(node.arg, kinds)
-    return _contains(node.left, kinds) or _contains(node.right, kinds)
+        return contains(node.arg, kinds)
+    return contains(node.left, kinds) or contains(node.right, kinds)
 
 
 def neg(a: Node) -> Node:
@@ -211,7 +211,7 @@ def div(a: Node, b: Node) -> Node:
 def pow_(a: Node, b: Node) -> Node:
     exponent = _fold(b)
     if exponent is None:
-        if _contains(b, (Var, Param)):
+        if contains(b, (Var, Param)):
             raise ExprError("exponent of '^' must reduce to a constant")
         raise ExprError("constant exponent of '^' overflows or is undefined")
     node = BinOp("^", a, exponent)

@@ -36,6 +36,13 @@ SEAM_PROBES = (0.0, 0.0137, 0.031)
 # derivative, so abs curves are checked the same way.
 SIGN_SAMPLES = 1024
 SIGN_TOL = 1e-9
+# A curve below this at every domain probe is zero up to rounding (as
+# sin(t) + sin(t + pi) is): its graph is the origin, one piece with no cuts
+ZERO_CURVE_TOL = 1e-12
+# A negative stretch moves half a turn forward unless its image would start
+# at 2*pi or beyond.  Its start may be a zero refined to DEFAULT_TOL, so one
+# within this of pi takes the branch that a start at pi exactly takes.
+HALF_TURN_SLACK = 1e-9
 
 
 class PolarCurve:
@@ -214,8 +221,10 @@ def positive_pieces(curve: PolarCurve) -> tuple[Piece, ...]:
     probe = linspace(a, b, 2048)
     vals = curve.eval_many(probe)
     if not np.all(np.isfinite(vals)):
-        raise _expr.EvalError("curve evaluation failed on its domain")
-    if np.max(np.abs(vals)) < 1e-12:
+        bad = int(np.argmin(np.isfinite(vals)))
+        what = "is undefined" if np.isnan(vals[bad]) else "has a pole"
+        raise _expr.EvalError(f"curve {what} at theta = {probe[bad]:.12g}")
+    if np.max(np.abs(vals)) < ZERO_CURVE_TOL:
         # identically zero: the graph is the origin
         piece = Piece(curve, (a, b), traced_twice=False)
         return (piece,)
@@ -254,7 +263,7 @@ def positive_pieces(curve: PolarCurve) -> tuple[Piece, ...]:
     for lo, hi, sign in raw:
         piece_curve, interval = curve, (lo, hi)
         if sign < 0:
-            forward = lo + math.pi < TWO_PI - 1e-9
+            forward = lo + math.pi < TWO_PI - HALF_TURN_SLACK
             if forward not in half_turns:
                 half_turns[forward] = _half_turn(curve, forward)
             shift = math.pi if forward else -math.pi

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvekit.cli import SCHEMA, _csv_trace, _fmt, _fmt_rows, main
+from curvekit.cli import SCHEMA, _csv_trace, _fmt, _fmt_rows, build_parser, main
 from oracles import cycloid_point
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -158,6 +159,23 @@ class TestAreaCommand:
         code, _ = run_inprocess(["area", "--c1", "sin(theta)"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--rose-N", "2", "--c1", "foo(("], "error: area --rose-N does not read --c1\n"),
+            (["--c1", "sin(theta)", "--c2", "cos(theta)", "--domain", "0:1"],
+             "error: area --c1/--c2 does not read --domain\n"),
+            (["--limacon-lambda", "2", "--domain", "0:1", "--param", "a=1"],
+             "error: area --limacon-lambda does not read --domain, --param\n"),
+        ],
+        ids=["rose", "common", "limacon"],
+    )
+    def test_refuses_flags_its_mode_does_not_read(self, argv, message):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_inprocess(["area", *argv])
+        assert (code, out, err.getvalue()) == (1, "", message)
+
 
 class TestPeriodAndSymmetry:
     def test_period(self):
@@ -167,6 +185,14 @@ class TestPeriodAndSymmetry:
     def test_period_none(self):
         code, out = run_inprocess(["period", "--c1", "theta/10", "--max-multiple", "6"])
         assert json.loads(out)["period_multiple_of_pi"] is None
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_multiple_below_one_exits_one(self, value):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_inprocess(["period", "--c1", "cos(theta)", "--max-multiple", value])
+        assert (code, out) == (1, "")
+        assert err.getvalue() == f"error: --max-multiple must be at least 1, got {value}\n"
 
     def test_symmetry_axes(self):
         _, out = run_inprocess(["symmetry", "--c1", "cos(3*theta/5)", "--axis", "y"])
@@ -340,6 +366,21 @@ class TestDecomposeCommand:
         assert result.stderr.startswith(message)
         assert b"Traceback" not in result.stderr
         assert result.stdout == b""
+
+
+    @pytest.mark.parametrize(
+        "c1, domain, message",
+        [
+            ("sqrt(sin(theta))", "0:2*pi", "error: curve is undefined at theta = 3.14312738376\n"),
+            ("1/sin(theta)", "0:2*pi", "error: curve has a pole at theta = 0\n"),
+        ],
+        ids=["undefined", "pole"],
+    )
+    def test_first_rejected_probe_is_named(self, c1, domain, message):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_inprocess(["decompose", "--c1", c1, "--domain", domain])
+        assert (code, out, err.getvalue()) == (1, "", message)
 
 
 class TestReadmeCommandBytes:
@@ -592,3 +633,107 @@ class TestRouletteBytes:
             assert code == 0
             digest = hashlib.sha256(out.encode()).hexdigest()
             assert digest == want, (base, fmt, name, samples)
+
+
+# (a valid command, a flag that takes a constant, the form of its value)
+_ROULETTE = ["roulette", "--base", "line", "--radius", "1", "--samples", "5"]
+_SYMMETRY = ["symmetry", "--c1", "cos(theta)"]
+_DECOMPOSE = ["decompose", "--c1", "1"]
+FLAG_CASES = [(_ROULETTE, flag, "{}") for flag in
+              ("--R", "--a", "--b", "--lambda", "--radius", "--k", "--t0", "--from", "--to")]
+FLAG_CASES += [(_SYMMETRY, "--rotation", "{}"), (_SYMMETRY, "--reflection", "{}"),
+               (["area"], "--limacon-lambda", "{}"), (_DECOMPOSE, "--param", "lambda={}"),
+               (_DECOMPOSE, "--domain", "0:{}")]
+
+
+class TestFlags:
+    """Every numeric flag, --param and --domain take constant expressions."""
+
+    @pytest.mark.parametrize("value, reason", [("1/0", "division by zero"),
+                                               ("theta", "depends on theta")])
+    @pytest.mark.parametrize("argv, flag, form", FLAG_CASES,
+                             ids=[flag for _, flag, _ in FLAG_CASES])
+    def test_bad_value_names_the_flag_and_the_reason(self, argv, flag, form, value, reason):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_inprocess([*argv, flag, form.format(value)])
+        assert (code, out) == (1, "")
+        last = err.getvalue().splitlines()[-1]
+        assert last == f"error: argument {flag}: invalid value {value!r}: {reason}"
+        assert "Traceback" not in err.getvalue() and "_number" not in err.getvalue()
+
+    # (option strings, dest, default, choices, required) of each subcommand's
+    # flags, in order, as the command line offered them before every flag went
+    # through one converter
+    SURFACE = {
+        "intersect": [
+            (("-h", "--help"), "help", "==SUPPRESS==", None, False),
+            (("--c1",), "c1", None, None, True),
+            (("--c2",), "c2", None, None, True),
+            (("--param",), "param", None, None, False),
+            (("--output",), "output", None, None, False),
+        ],
+        "area": [
+            (("-h", "--help"), "help", "==SUPPRESS==", None, False),
+            (("--c1",), "c1", None, None, False),
+            (("--c2",), "c2", None, None, False),
+            (("--rose-N",), "rose_N", None, None, False),
+            (("--limacon-lambda",), "limacon_lambda", None, None, False),
+            (("--loop",), "loop", False, None, False),
+            (("--domain",), "domain", None, None, False),
+            (("--param",), "param", None, None, False),
+            (("--output",), "output", None, None, False),
+        ],
+        "period": [
+            (("-h", "--help"), "help", "==SUPPRESS==", None, False),
+            (("--c1",), "c1", None, None, True),
+            (("--max-multiple",), "max_multiple", 64, None, False),
+            (("--param",), "param", None, None, False),
+            (("--output",), "output", None, None, False),
+        ],
+        "symmetry": [
+            (("-h", "--help"), "help", "==SUPPRESS==", None, False),
+            (("--c1",), "c1", None, None, True),
+            (("--axis",), "axis", None, ("x", "y", "origin"), False),
+            (("--rotation",), "rotation", None, None, False),
+            (("--reflection",), "reflection", None, None, False),
+            (("--param",), "param", None, None, False),
+            (("--output",), "output", None, None, False),
+        ],
+        "decompose": [
+            (("-h", "--help"), "help", "==SUPPRESS==", None, False),
+            (("--c1",), "c1", None, None, True),
+            (("--domain",), "domain", None, None, False),
+            (("--param",), "param", None, None, False),
+            (("--output",), "output", None, None, False),
+        ],
+        "roulette": [
+            (("-h", "--help"), "help", "==SUPPRESS==", None, False),
+            (("--base",), "base", None, ("line", "circle", "ellipse", "limacon"), True),
+            (("--R",), "R", 2.0, None, False),
+            (("--a",), "a", 3.0, None, False),
+            (("--b",), "b", 2.0, None, False),
+            (("--lambda",), "base_lambda", 2.0, None, False),
+            (("--radius",), "radius", None, None, True),
+            (("--side",), "side", "normal", ("normal", "antinormal"), False),
+            (("--reverse",), "reverse", False, None, False),
+            (("--k",), "k", 0.0, None, False),
+            (("--t0",), "t0", None, None, False),
+            (("--from",), "t_from", None, None, False),
+            (("--to",), "t_to", None, None, False),
+            (("--samples",), "samples", 500, None, False),
+            (("--format",), "format", "csv", ("csv", "svg"), False),
+            (("--output",), "output", None, None, False),
+        ],
+    }
+
+    def test_surface_is_unchanged(self):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        surface = {
+            name: [(tuple(a.option_strings), a.dest, a.default,
+                    None if a.choices is None else tuple(a.choices), a.required)
+                   for a in parser._actions]
+            for name, parser in sub.choices.items()
+        }
+        assert surface == self.SURFACE
