@@ -144,11 +144,8 @@ def cmd_area(args) -> dict:
     else:
         c1 = _domain_curve(args.c1, args.param, None)
         c2 = _domain_curve(args.c2, args.param, None)
-        value = sum(
-            region_intersection_area(ra, rb)
-            for ra in _decomposed_regions(c1)
-            for rb in _decomposed_regions(c2)
-        )
+        regions_a, regions_b = _decomposed_regions(c1), _decomposed_regions(c2)
+        value = sum(region_intersection_area(ra, rb) for ra in regions_a for rb in regions_b)
     return {"area": _num(value)}
 
 
@@ -276,6 +273,11 @@ class _Parser(argparse.ArgumentParser):
     # mathematical degeneracy and reports usage problems with 1.
     def error(self, message):
         self.print_usage(sys.stderr)
+        # argparse reads a value such as -pi or -cos(theta) as an option
+        argument, _, problem = message.partition(": ")
+        if problem == "expected one argument" and argument.startswith("argument --"):
+            flag = argument.removeprefix("argument ")
+            message += f" (a value that starts with '-' is written {flag}=VALUE)"
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
 

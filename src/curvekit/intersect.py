@@ -64,11 +64,24 @@ def graph_points(curve: PolarCurve) -> np.ndarray:
 def origin_on_curve(curve: PolarCurve) -> float | None:
     """Smallest angle in the period window where the radius vanishes, if any:
     find_roots' first root there with a residual below ZERO_RADIUS_TOL.  The
-    search stops at that zero once no root left unrefined can join it in the
-    dedupe.  The brackets of the first start cell are refined first, then the rest."""
+    answer is kept in the curve's record, so each distinct curve is searched
+    once."""
+    record = curve._record
+    if record.origin is None:
+        record.origin = (_first_zero(curve),)
+    return record.origin[0]
+
+
+def _first_zero(curve: PolarCurve) -> float | None:
+    """The search of `origin_on_curve`.  It stops at the first zero once no
+    root left unrefined can join it in the dedupe.  The brackets of the first
+    start cell are refined first, then the rest."""
     xs, ys, idx, touch, exact = root_brackets(curve.eval_many, *curve.period_window(), None)
     touch_start = np.maximum(touch - 1, 0)
-    starts = np.union1d(idx, touch_start)
+    # the distinct start cells, sorted (all >= 0): np.union1d gives the same,
+    # but its np.unique imports numpy.ma into every process that gets here
+    starts = np.sort(np.concatenate((idx, touch_start)))
+    starts = starts[np.diff(starts, prepend=-1) != 0]
     parts, done = [(exact, np.zeros(exact.size))], 0  # brackets at starts[:done] refined
     while True:
         bound = float(xs[starts[done]]) if done < starts.size else math.inf

@@ -8,6 +8,8 @@ f(theta) * e^(i*theta).
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,32 +47,96 @@ ZERO_CURVE_TOL = 1e-12
 HALF_TURN_SLACK = 1e-9
 
 
+class _Record:
+    """What the answers about one curve share that depends only on its AST
+    and bound parameters: the compiled program, how far the period scan has
+    gone, the first zero in the period window (a one-tuple once known, set
+    by `intersect.origin_on_curve`) and the intervals `sign_change_sample`
+    passed, at most `expr.CURVE_RECORDS` of them.  Each is stored only once
+    computed without an error.  Threads racing on one curve may each compute
+    a fact, but they store the same value, so no answer depends on which
+    wins and the record needs no lock; a race can only cost time, by storing
+    an earlier stage of the period scan or a pass past the bound."""
+
+    __slots__ = ("program", "period", "origin", "nonnegative_on")
+
+    def __init__(self):
+        self.program = None
+        self.period = (None, 0)  # (the smallest multiple, or else the largest scanned)
+        self.origin = None
+        self.nonnegative_on = set()
+
+
+_records: OrderedDict = OrderedDict()  # key -> _Record, least recently used first
+_records_lock = threading.Lock()
+
+
+def _bits(x) -> bytes:
+    """x as the float64 that programs and samples are built from.  Keys hold
+    bits, since `==` merges 0.0 with -0.0 (whose 1/x differ) and no NaN
+    matches itself."""
+    return np.float64(x).tobytes()
+
+
+def _ast_key(node) -> tuple:
+    """The AST's structure with each constant as its bits."""
+    if isinstance(node, _expr.Const):
+        return ("c", _bits(node.value))
+    if isinstance(node, _expr.Var):
+        return ("v",)
+    if isinstance(node, _expr.Param):
+        return ("p", node.name)
+    if isinstance(node, _expr.Neg):
+        return ("-", _ast_key(node.arg))
+    if isinstance(node, _expr.Call):
+        return (node.func, _ast_key(node.arg))
+    return (node.op, _ast_key(node.left), _ast_key(node.right))
+
+
+def _record_of(node, params: dict, names) -> _Record:
+    """The shared record of the curve, keyed by its AST and the bits of the
+    parameters it names, as `compile_program` binds them; the least recently
+    used record past `expr.CURVE_RECORDS` is dropped."""
+    key = (_ast_key(node), tuple((n, _bits(params[n])) for n in sorted(names)))
+    with _records_lock:
+        record = _records.get(key)
+        if record is None:
+            record = _records[key] = _Record()
+            if len(_records) > _expr.CURVE_RECORDS:
+                _records.popitem(last=False)
+        else:
+            _records.move_to_end(key)
+    return record
+
+
 class PolarCurve:
-    """r = f(theta) with bound parameters, a domain, and cached metadata."""
+    """r = f(theta) with bound parameters and a domain.  What depends only on
+    the expression and its parameters is kept in a record shared by every
+    curve object with the same ones (see `_Record`)."""
 
     def __init__(self, radius, params=None, domain=(0.0, TWO_PI)):
         self.text = radius if isinstance(radius, str) else _expr.to_string(radius)
         self.radius = _expr.parse(radius) if isinstance(radius, str) else radius
         self.params = dict(params or {})
-        unbound = _expr.free_parameters(self.radius) - set(self.params)
+        names = _expr.free_parameters(self.radius)
+        unbound = names - set(self.params)
         if unbound:
             raise _expr.EvalError(f"unbound parameters: {sorted(unbound)}")
         a, b = float(domain[0]), float(domain[1])
         if not a < b:
             raise ValueError("domain must be a non-empty interval")
         self.domain = (a, b)
-        self._program = None
-        self._period = None  # the smallest multiple, once found
-        self._nonnegative_on = set()  # intervals sign_change_sample passed
+        self._record = _record_of(self.radius, self.params, names)
 
     def __repr__(self):
         return f"PolarCurve({self.text!r}, domain={self.domain})"
 
     @property
     def program(self) -> _expr.Program:
-        if self._program is None:
-            self._program = _expr.compile_program(self.radius, self.params)
-        return self._program
+        record = self._record
+        if record.program is None:
+            record.program = _expr.compile_program(self.radius, self.params)
+        return record.program
 
     def eval_many(self, thetas) -> np.ndarray:
         return self.program(np.asarray(thetas, dtype=float))
@@ -92,15 +158,18 @@ class PolarCurve:
 
     def period_multiple_of_pi(self, max_multiple: int = MAX_PERIOD_MULTIPLE) -> int | None:
         """Smallest N <= max_multiple with f(theta) = (-1)^N f(theta + N*pi)
-        by `_rule_misses` on [0, N*pi): the polar graph repeats after N*pi."""
-        if self._period is not None:
-            return self._period if self._period <= max_multiple else None
-        for n in range(1, max_multiple + 1):
+        by `_rule_misses` on [0, N*pi): the polar graph repeats after N*pi.
+        The scan goes on from the largest N the curve's record has ruled out."""
+        found, scanned = self._record.period
+        if found is not None:
+            return found if found <= max_multiple else None
+        for n in range(scanned + 1, max_multiple + 1):
             thetas = linspace(0.0, n * math.pi, RULE_SAMPLES, endpoint=False)
             missed = _rule_misses(self, thetas, thetas, (n,))
             if not missed.any():
-                self._period = n
+                self._record.period = (n, n - 1)
                 return n
+            self._record.period = (None, n)
         return None
 
     def period_window(self) -> tuple[float, float]:
@@ -191,9 +260,11 @@ def sign_change_sample(curve: PolarCurve, interval: tuple[float, float]) -> int 
     """None when the curve is non-negative on all SIGN_SAMPLES angles spanning
     the interval (SIGN_TOL, with the end slack; NaN fails).  Otherwise the
     index where it changes sign: the first failing sample, or, when the first
-    sample fails, the first that does not (0 if none).  Passes are kept on the curve."""
+    sample fails, the first that does not (0 if none).  Passes are kept in the
+    curve's record."""
     lo, hi = interval
-    if (lo, hi) in curve._nonnegative_on:
+    passed, key = curve._record.nonnegative_on, (_bits(lo), _bits(hi))
+    if key in passed:
         return None
     values = curve.eval_many(linspace(lo, hi, SIGN_SAMPLES))
     failing = ~(values >= -SIGN_TOL)
@@ -203,8 +274,8 @@ def sign_change_sample(curve: PolarCurve, interval: tuple[float, float]) -> int 
             slope = rise * (SIGN_SAMPLES - 1) / (hi - lo)
             failing[end] = not (math.isfinite(slope)
                                 and values[end] >= -SIGN_TOL - PIECE_CUT_GAP * slope)
-    if not failing.any():
-        curve._nonnegative_on.add((lo, hi))
+    if not failing.any() and len(passed) < _expr.CURVE_RECORDS:
+        passed.add(key)
     return int(np.argmax(failing != failing[0])) if failing.any() else None
 
 

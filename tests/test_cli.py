@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from curvekit import cli
 from curvekit.cli import SCHEMA, _csv_trace, _fmt, _fmt_rows, build_parser, main
+from curvekit.polar import positive_pieces
 from oracles import cycloid_point
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -117,6 +119,18 @@ class TestIntersectCommand:
         assert [(p["x"], p["y"]) for p in points] == [
             pytest.approx((1e-4, 1e-8), abs=1e-11), pytest.approx((-1e-4, 1e-8), abs=1e-11)]
 
+    def test_does_not_import_numpy_ma(self):
+        # np.union1d would import numpy.ma through np.unique (about 10 ms)
+        code = ("import sys, io, contextlib\n"
+                "from curvekit import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    rc = cli.main(['intersect', '--c1', 'sin(3*theta)', '--c2', 'cos(theta)'])\n"
+                "print(rc, 'numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                              cwd=ROOT, text=True, timeout=60)
+        assert proc.stdout == "0 False\n", proc.stderr
+
     def test_identical_curves_exit_two(self):
         result = run_subprocess(["intersect", "--c1", "cos(theta)", "--c2", "cos(theta)"])
         assert result.returncode == 2
@@ -154,6 +168,20 @@ class TestAreaCommand:
         code, out = run_inprocess(["area", "--loop", "--c1", "cos(theta/3)"])
         assert code == 0
         assert out == f'{{\n  "schema": "{SCHEMA}",\n  "area": 2.35619449019\n}}\n'
+
+    def test_each_curve_is_decomposed_once(self, monkeypatch):
+        # the roses' 12 regions each meet the other's 12; 13 decompositions
+        # when the second curve was decomposed again for every region of the first
+        decomposed = []
+
+        def counting(curve):
+            decomposed.append(curve.text)
+            return positive_pieces(curve)
+
+        monkeypatch.setattr(cli, "positive_pieces", counting)
+        code, out = run_inprocess(["area", "--c1", "sin(6*theta)", "--c2", "cos(6*theta)"])
+        assert code == 0 and decomposed == ["sin(6*theta)", "cos(6*theta)"]
+        assert json.loads(out)["area"] == pytest.approx(math.pi / 2 - 1.0, abs=1e-9)
 
     def test_needs_exactly_one_mode(self):
         code, _ = run_inprocess(["area", "--c1", "sin(theta)"])
@@ -661,6 +689,19 @@ class TestFlags:
         last = err.getvalue().splitlines()[-1]
         assert last == f"error: argument {flag}: invalid value {value!r}: {reason}"
         assert "Traceback" not in err.getvalue() and "_number" not in err.getvalue()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["roulette", "--base", "line", "--radius", "1", "--from", "-pi"], "--from"),
+        (["period", "--c1", "-cos(theta)"], "--c1"),
+    ])
+    def test_value_read_as_an_option_names_the_equals_form(self, argv, flag):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_inprocess(argv)
+        assert (code, out) == (1, "")
+        assert err.getvalue().splitlines()[-1] == (
+            f"error: argument {flag}: expected one argument "
+            f"(a value that starts with '-' is written {flag}=VALUE)")
 
     # (option strings, dest, default, choices, required) of each subcommand's
     # flags, in order, as the command line offered them before every flag went

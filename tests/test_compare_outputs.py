@@ -38,3 +38,12 @@ def test_a_checkout_matches_itself():
                              "--ops", "12"], capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "library seed 1: 12 ops, 0 differ\ncli seed 1: 12 ops, 0 differ\n"
+
+
+def test_a_shuffled_run_is_compared_op_by_op():
+    result = subprocess.run([sys.executable, str(SCRIPT), str(ROOT), str(ROOT), "--seeds", "1",
+                             "--ops", "12", "--shuffle", "5"],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ("library seed 1 (change shuffled by 5): 12 ops, 0 differ\n"
+                             "cli seed 1 (change shuffled by 5): 12 ops, 0 differ\n")

@@ -1,6 +1,6 @@
 """Compare what two checkouts of curvekit answer on the benchmark's ops.
 
-    python tools/compare_outputs.py PARENT CHANGE --seeds 1 7 [--ops N]
+    python tools/compare_outputs.py PARENT CHANGE --seeds 1 7 [--ops N] [--shuffle SEED]
 
 Each tree runs the op lists of `perfbench/inputs.py` through
 `perfbench/ops.py` (both read as they are) in its own interpreter, with
@@ -15,7 +15,10 @@ an exception outcome.  For each op the two outcomes are compared:
 
 Every difference is printed, one op a line, then a count per op class.  The
 exit status is 0 when nothing differs and 1 otherwise.  `--ops N` compares
-only the first N ops of each list.
+only the first N ops of each list.  `--shuffle SEED` runs the change tree's
+ops in an order drawn from SEED (the parent's stay in list order) and still
+compares them op by op, so state an op leaves behind for later ones, such as
+the per-curve records, is filled by different ops on the two sides.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -52,25 +56,34 @@ def _outcome(ops, ctx, op) -> dict:
     return ops.summarize(ctx, op, result)  # floats in full: JSON keeps every bit
 
 
-def child(workload: str, seed: int, limit: int | None) -> None:
-    """Run the ops in this interpreter and print one JSON list of outcomes."""
+def child(workload: str, seed: int, limit: int | None, shuffle: int | None) -> None:
+    """Run the ops in this interpreter, in the order drawn from shuffle if it
+    is given, and print one JSON list of outcomes in list order."""
     import inputs
     import ops
 
     op_list = inputs.ops_for(workload, seed)[:limit]
     ctx = ops.Context(workload, inputs.roll_bases(seed), in_process=True)
-    records = [{"key": inputs.input_key(op), "class": f"{ops.family(op)}/{op.get('cmd') or op['kind']}",
-                "out": _outcome(ops, ctx, op)} for op in op_list]
+    order = list(range(len(op_list)))
+    if shuffle is not None:
+        random.Random(shuffle).shuffle(order)
+    records = [None] * len(op_list)
+    for i in order:
+        op = op_list[i]
+        records[i] = {"key": inputs.input_key(op),
+                      "class": f"{ops.family(op)}/{op.get('cmd') or op['kind']}",
+                      "out": _outcome(ops, ctx, op)}
     json.dump(records, sys.__stdout__)
 
 
-def _run_tree(tree: Path, workload: str, seed: int, limit: int | None) -> subprocess.Popen:
+def _run_tree(tree: Path, workload: str, seed: int, limit: int | None,
+              shuffle: int | None) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join((str(tree / "src"), str(tree / "perfbench")))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", workload, str(seed),
-           str(limit or 0)]
+           str(limit or 0)] + ([] if shuffle is None else [str(shuffle)])
     return subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
 
@@ -112,9 +125,11 @@ def _first_line_diff(old: dict, new: dict) -> str:
     return f"; stdout has {len(a)} -> {len(b)} lines"
 
 
-def compare(parent: Path, change: Path, workload: str, seed: int, limit: int | None) -> Counter:
+def compare(parent: Path, change: Path, workload: str, seed: int, limit: int | None,
+            shuffle: int | None) -> Counter:
     """Print each op whose outcome differs; return the differing ops per class."""
-    procs = [_run_tree(tree, workload, seed, limit) for tree in (parent, change)]
+    procs = [_run_tree(parent, workload, seed, limit, None),
+             _run_tree(change, workload, seed, limit, shuffle)]
     outputs = []
     for tree, proc in zip((parent, change), procs):
         out, err = proc.communicate()
@@ -131,7 +146,9 @@ def compare(parent: Path, change: Path, workload: str, seed: int, limit: int | N
             extra = _first_line_diff(old["out"], new["out"]) if old["class"].startswith("cli/") else ""
             key = old["key"].replace("\0", " ")
             print(f"{workload} seed {seed} op {i} {old['class']} [{key}]: {'; '.join(diffs)}{extra}")
-    print(f"{workload} seed {seed}: {len(outputs[0])} ops, {sum(differing.values())} differ"
+    order = "" if shuffle is None else f" (change shuffled by {shuffle})"
+    print(f"{workload} seed {seed}{order}: {len(outputs[0])} ops, "
+          f"{sum(differing.values())} differ"
           + "".join(f", {name} {n}" for name, n in sorted(differing.items())))
     return differing
 
@@ -140,7 +157,7 @@ def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if args[:1] == ["--child"]:
         workload, seed, limit = args[1], int(args[2]), int(args[3])
-        child(workload, seed, limit or None)
+        child(workload, seed, limit or None, int(args[4]) if len(args) > 4 else None)
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -148,12 +165,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
     parser.add_argument("--ops", type=int, default=0,
                         help="compare the first this many ops of each list (default: all)")
+    parser.add_argument("--shuffle", type=int, metavar="SEED",
+                        help="run the change tree's ops in an order drawn from SEED")
     opts = parser.parse_args(args)
     differing = Counter()
     for seed in opts.seeds:
         for workload in ("library", "cli"):
             differing += compare(opts.parent.resolve(), opts.change.resolve(), workload, seed,
-                                 opts.ops or None)
+                                 opts.ops or None, opts.shuffle)
     return 1 if differing else 0
 
 
