@@ -9,6 +9,7 @@ formatted to 12 significant digits so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -69,6 +70,20 @@ def _number(text: str) -> float:
         return _expr.evaluate(node, 0.0)
     except _expr.ExprError as exc:
         raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+
+
+def _integer(text: str) -> int:
+    """The argparse type of a count flag: a constant, as _number reads it,
+    that is a whole number, such as '1e5' or '2^17'."""
+    value = _number(text)
+    if not float(value).is_integer():
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: not an integer")
+    return int(value)
+
+
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise UsageError(f"{flag} must be at least {least}, got {value}")
 
 
 def _param(text: str) -> tuple[str, float]:
@@ -135,6 +150,7 @@ def cmd_area(args) -> dict:
     if unread:
         raise UsageError(f"area {mode} does not read {', '.join(unread)}")
     if mode == "--rose-N":
+        _at_least("--rose-N", args.rose_N, 1)
         value = rose_intersection_area(args.rose_N)
     elif mode == "--limacon-lambda":
         value = limacon_common_area(args.limacon_lambda)
@@ -162,8 +178,7 @@ def _domain_curve(text: str, params, domain: tuple[float, float] | None) -> Pola
 
 
 def cmd_period(args) -> dict:
-    if args.max_multiple < 1:
-        raise UsageError(f"--max-multiple must be at least 1, got {args.max_multiple}")
+    _at_least("--max-multiple", args.max_multiple, 1)
     n = PolarCurve(args.c1, args.param).period_multiple_of_pi(args.max_multiple)
     return {"period_multiple_of_pi": n}
 
@@ -208,12 +223,102 @@ _BASES = {
 }
 
 
+# _fmt_rows renders this many values at a time (rounded down to whole rows):
+# the block's 32-byte rows then take 1 MiB
+_FORMAT_BLOCK = 1 << 15
+# 10**0 .. 10**15, each a float64 exactly, so a product by one is rounded once
+_POW10 = 10.0 ** np.arange(16)
+# The row of a value _fmt_rows does not render itself: "%.12g" formats it as
+# format(x, ".12g") does, in one % call per block
+_FALLBACK_ROW = np.frombuffer(b"%.12g".ljust(31, b"\0"), np.uint8)
+
+
+@functools.cache
+def _format_tables():
+    """The digit words and row templates of _fmt_rows, built on first use.
+
+    A value's row is 32 bytes: byte 0 its sign, bytes 1-5 the "0." and zeros
+    before the digits of |x| < 1, byte 8 + 2j digit j of the 12, byte 9 + 2j
+    the point when it follows digit j, byte 31 the separator; a "\\0" byte is
+    dropped.  digits[k] holds the four digits of k at the even bytes of a
+    little-endian word, and digits[10_000 + k] the same with trailing zeros as
+    "\\0".  template[4 * (e + 4) + 2 * f + s] is the row of a value with
+    decimal exponent e, a fractional part when f = 1 and sign bit s, before
+    its digit words are or-ed in: sign, prefix, the zeros that the integer
+    part keeps, and the point."""
+    k = np.arange(10_000)
+    trailing = (k % 10 == 0).astype(int) + (k % 100 == 0) + (k % 1000 == 0) + (k == 0)
+    digits = np.zeros((2, 10_000, 8), np.uint8)
+    digits[:, :, ::2] = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1) + 48
+    digits[1, :, ::2] *= np.arange(4) < 4 - trailing[:, None]
+    template = np.zeros((16, 2, 2, 32), np.uint8)
+    template[:, :, 1, 0] = ord("-")
+    for e in range(-4, 0):
+        template[e + 4, :, :, 1:2 - e] = ord("0")
+        template[e + 4, :, :, 2] = ord(".")
+    for e in range(12):
+        template[e + 4, :, :, 8:9 + 2 * e:2] = ord("0")
+    for e in range(11):  # the twelfth digit is the last, so e = 11 has no fraction
+        template[e + 4, 1, :, 9 + 2 * e] = ord(".")
+    return digits.view("<u8").ravel(), template.reshape(64, 32).view("<u8")
+
+
 def _fmt_rows(columns, sep: str, end: str) -> str:
-    """Rows of the columns' values, each as _fmt gives it, in one string
-    formatting call: "%.12g" renders a float exactly as format(x, ".12g")."""
-    table = np.column_stack(columns)
-    row = sep.join(["%.12g"] * table.shape[1]) + end
-    return (row * table.shape[0]) % tuple(table.ravel().tolist())
+    """Rows of the columns' values, each as _fmt gives it, with sep after
+    every value of a row but the last and end after the last (each one ASCII
+    character other than "%").
+
+    A value with 1e-4 <= |x| < 1e12 is rendered by numpy.  With e its
+    decimal exponent, |x| * 10**(11 - e) is one correctly rounded product,
+    within half an ulp (at most 6.1e-5) of the exact decimal value; so where
+    it lies more than 1e-4 from a half-integer, rint gives the 12 digits that
+    format() rounds to.  Zeros are written directly.  The rest are formatted
+    by "%.12g": non-finite values, values outside that range or rounding up
+    to 1e12 (scientific notation, and the few just below 1e-4 that round up
+    to it), and products within 1e-4 of a half-integer, where the rounding
+    could go either way."""
+    digits, template = _format_tables()
+    ncols = len(columns)
+    seps = np.frombuffer((sep * (ncols - 1) + end).encode("ascii"), np.uint8).astype("<u8") << 56
+    step = max(1, _FORMAT_BLOCK // ncols)
+    text = bytearray()
+    for start in range(0, len(columns[0]), step):
+        x = np.column_stack([column[start:start + step] for column in columns]).ravel()
+        a = np.abs(x)
+        fixed = (a >= 1e-4) & (a < 1e12)
+        a = np.where(fixed, a, 1.0)
+        # log10 misses the exponent only within a few ulps of a power of ten,
+        # whose 12 digits are that power: the product then rounds up to 1e11,
+        # or reaches 1e12 and carries below
+        e = np.clip(np.floor(np.log10(a)).astype(np.intp), -4, 11)
+        scaled = a * _POW10[11 - e]
+        n = np.rint(scaled)
+        fallback = (fixed & (np.abs(scaled - n) > 0.4999)) | (~fixed & (x != 0))
+        carry = n == 1e12
+        n[carry] = 1e11
+        e += carry
+        fallback |= e > 11
+        fixed &= ~fallback
+        n *= fixed
+        e *= fixed
+        # the digits as three groups of four; a group wholly after the last
+        # non-zero digit, or that digit's own group, takes the stripped words
+        high = np.floor(n / 1e8)
+        middle = np.floor((n - high * 1e8) / 1e4)
+        low = n - high * 1e8 - middle * 1e4
+        unit = n / _POW10[11 - e]
+        rows = np.take(template, 4 * (e + 4) + 2 * (unit != np.floor(unit)) + np.signbit(x), axis=0)
+        rows[:, 1] |= digits.take((high + 1e4 * (middle + low == 0)).astype(np.intp))
+        rows[:, 2] |= digits.take((middle + 1e4 * (low == 0)).astype(np.intp))
+        rows[:, 3] |= digits.take((low + 1e4).astype(np.intp))
+        rows.reshape(-1, ncols, 4)[:, :, 3] |= seps
+        row_bytes = rows.view(np.uint8)
+        row_bytes[fallback, :31] = _FALLBACK_ROW
+        block = row_bytes.tobytes().translate(None, b"\0")
+        if fallback.any():
+            block %= tuple(x[fallback].tolist())
+        text += block
+    return text.decode("ascii")
 
 
 def _csv_trace(ts, points) -> str:
@@ -235,22 +340,23 @@ def _svg_document(polylines) -> str:
     view = (x0 - margin, y0 - margin, (x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin)
     width = 0.002 * max(view[2], view[3])
     parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="{} {} {} {}">'.format(
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="{} {} {} {}">\n'.format(
             *(_fmt(v) for v in view)
         ),
     ]
+    # one join builds the document, so that the points are copied into it
+    # once: the peak memory of a large SVG is a few copies of its points
     for color, z in polylines:
         z = np.asarray(z)
-        pts = _fmt_rows((z.real, -z.imag), ",", " ")[:-1]
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="{_fmt(width)}" points="{pts}"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts += [f'<polyline fill="none" stroke="{color}" stroke-width="{_fmt(width)}" points="',
+                  _fmt_rows((z.real, -z.imag), ",", " ")[:-1], '"/>\n']
+    parts.append("</svg>\n")
+    return "".join(parts)
 
 
 def cmd_roulette(args) -> str:
+    _at_least("--samples", args.samples, 2)
     base = _BASES[args.base](args)
     t_from = args.t_from if args.t_from is not None else 0.0
     if args.t_to is not None:
@@ -294,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("area", help="areas of polar regions and intersections")
     p.add_argument("--c1", help="first curve")
     p.add_argument("--c2", help="second curve")
-    p.add_argument("--rose-N", dest="rose_N", type=int,
+    p.add_argument("--rose-N", dest="rose_N", type=_integer,
                    help="common area of the sin/cos roses of order N")
     p.add_argument("--limacon-lambda", dest="limacon_lambda", type=_number,
                    help="area inside both limacon loops for this shape parameter")
@@ -305,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("period", help="polar period as a multiple of pi")
     p.add_argument("--c1", required=True)
-    p.add_argument("--max-multiple", type=int, default=MAX_PERIOD_MULTIPLE)
+    p.add_argument("--max-multiple", type=_integer, default=MAX_PERIOD_MULTIPLE)
     p.set_defaults(func=cmd_period)
 
     p = sub.add_parser("symmetry", help="rotation/reflection symmetry tests")
@@ -335,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=_number, help="contact parameter (default: --from)")
     p.add_argument("--from", dest="t_from", type=_number, help="start parameter")
     p.add_argument("--to", dest="t_to", type=_number, help="end parameter")
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=_integer, default=500)
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
     p.set_defaults(func=cmd_roulette)
 

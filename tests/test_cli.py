@@ -6,16 +6,20 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvekit import cli
 from curvekit.cli import SCHEMA, _csv_trace, _fmt, _fmt_rows, build_parser, main
 from curvekit.polar import positive_pieces
+from curvekit.roulette import RollConfig, ellipse, trace
 from oracles import cycloid_point
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -567,6 +571,43 @@ class TestDeterminism:
 
 SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e16, -1e16, 1e-5, 123456789012.5,
                   math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0, -2.0 ** 0.5]
+SEPARATORS = [(",", "\n"), (",", " ")]
+
+
+def _signed(value, negative):
+    return -value if negative else value
+
+
+def _steps_from(value, steps):
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+# Values whose 12-digit rounding is nearly a tie, or that sit next to a power
+# of ten or the 1e-4 and 1e12 switches between fixed and scientific notation
+NEAR_ROUNDING_EDGES = st.one_of(
+    st.builds(lambda k, j, neg: _signed((k + 0.5) / 10.0 ** j, neg),
+              st.integers(10**11, 10**12 - 1), st.integers(0, 15), st.booleans()),
+    st.builds(lambda j, steps, neg: _signed(_steps_from(10.0 ** j, steps), neg),
+              st.integers(-5, 13), st.integers(-3, 3), st.booleans()),
+    st.builds(_signed, st.floats(9.9999999999e-5, 1.0000000001e-4), st.booleans()),
+    st.builds(_signed, st.floats(999999999998.0, 1000000000002.0), st.booleans()),
+)
+
+
+def _per_value(columns, sep, end):
+    return "".join(sep.join(map(_fmt, row)) + end for row in zip(*columns))
+
+
+def _first_difference(got, want):
+    """None, or the first row (split at end) where two long documents
+    differ: pytest's own diff of two multi-megabyte strings takes minutes."""
+    if got == want:
+        return None
+    end = "\n" if "\n" in want else " "
+    rows = zip(got.split(end), want.split(end))
+    return next(((i, a, b) for i, (a, b) in enumerate(rows) if a != b), "lengths differ")
 
 
 class TestBulkFormatting:
@@ -592,12 +633,72 @@ class TestBulkFormatting:
         )
         assert _csv_trace(ts, points) == expected
 
+    @pytest.mark.parametrize("sep, end", SEPARATORS)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(values=st.lists(st.floats(), max_size=40))
+    def test_rows_match_fmt_on_any_float(self, sep, end, values):
+        columns = np.array(values[:len(values) // 2 * 2]).reshape(2, -1)
+        assert _fmt_rows(tuple(columns), sep, end) == _per_value(columns, sep, end)
+
+    @pytest.mark.parametrize("sep, end", SEPARATORS)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(values=st.lists(NEAR_ROUNDING_EDGES, min_size=3, max_size=30))
+    def test_rows_match_fmt_next_to_ties_and_switch_points(self, sep, end, values):
+        columns = np.array(values[:len(values) // 3 * 3]).reshape(3, -1)
+        assert _fmt_rows(tuple(columns), sep, end) == _per_value(columns, sep, end)
+
+    @pytest.mark.parametrize("sep, end", SEPARATORS)
+    def test_separators_stay_aligned_across_blocks(self, sep, end):
+        # three columns do not divide the block, and the document spans more
+        # than two blocks; every kind of value sits next to a block edge
+        columns = np.random.default_rng(27).uniform(-5.0, 5.0, (3, cli._FORMAT_BLOCK + 11))
+        special = np.array(SPECIAL_VALUES)
+        for edge in range(cli._FORMAT_BLOCK // 3, columns.shape[1], cli._FORMAT_BLOCK // 3):
+            for c in range(3):
+                columns[c, edge - 7:edge + 8] = np.roll(special, c)
+        assert _first_difference(_fmt_rows(tuple(columns), sep, end),
+                                 _per_value(columns, sep, end)) is None
+
+    def test_rows_match_fmt_next_to_every_power_of_ten(self):
+        # log10 misses the exponent of some of these values (238 with numpy
+        # 2.4); they round to the power of ten through rint or the carry
+        powers = 10.0 ** np.arange(-5, 14)
+        values = (powers[:, None] + np.arange(-2000, 2001) * np.spacing(powers)[:, None]).ravel()
+        columns = np.stack([values, -values])
+        assert _first_difference(_fmt_rows(tuple(columns), ",", "\n"),
+                                 _per_value(columns, ",", "\n")) is None
+
+    def test_rows_match_fmt_on_random_bit_patterns(self):
+        # random sign and mantissa bits, exponents 2^-17 .. 2^41 (7.6e-6 to
+        # 4.4e12): the fixed-point range of "%.12g" and both switch points
+        rng = np.random.default_rng(12)
+        bits = rng.integers(0, 2**64, 2_000_000, dtype=np.uint64) & np.uint64(0x800FFFFFFFFFFFFF)
+        bits |= rng.integers(1023 - 17, 1023 + 42, bits.size, dtype=np.uint64) << np.uint64(52)
+        values = bits.view(np.float64)
+        want = "\n".join(map(_fmt, values.tolist())) + "\n"
+        assert _first_difference(_fmt_rows((values,), ",", "\n"), want) is None
+
+    def test_csv_trace_of_100k_samples_peaks_below_per_value_formatting(self):
+        # 18.2 MB with one "%.12g" call over every value, 9.4 MB in blocks
+        ts = np.linspace(0.0, 2.0 * math.pi, 100_000)
+        points = trace(ellipse(3.0, 2.0), RollConfig(radius=0.5), 0.0, 2.0 * math.pi, ts.size)
+        _csv_trace(ts[:10], points[:10])
+        tracemalloc.start()
+        try:
+            out = _csv_trace(ts, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) > 4_000_000
+        assert peak <= 18.2e6
+
 
 class TestRouletteBytes:
     """sha256 of roulette stdout at 3,000 samples, recorded from per-value
-    formatting and a one-shot trace, and of CSV at 40,000 samples, five
-    blocks of the trace, recorded from a one-shot pass over the samples:
-    the output bytes must not move."""
+    formatting and a one-shot trace, of CSV at 40,000 samples, five blocks
+    of the trace, recorded from a one-shot pass over the samples, and of CSV
+    and SVG at 100,000 samples, recorded from one "%.12g" call over every
+    value: the output bytes must not move."""
 
     BASES = {"line": [], "circle": ["--R", "3"], "ellipse": ["--a", "3", "--b", "2"],
              "limacon": ["--lambda", "2"]}
@@ -647,6 +748,16 @@ class TestRouletteBytes:
     ("line", "csv", "plain"): "dc3d10e3da12744b59633dc40756d1e1fb5e615db3e2b491cf6bf675f9f133ae",
     ("line", "csv", "reverse"): "c2a980b5c81d2993410c2f88fb05c339186eca09e940bec9eece343ad1ff73f8",
     }
+    LARGE_DIGESTS = {
+    ("circle", "csv"): "996fa58f5d682952e168009621d13e42bb0046ec6c6e32db09b8f37ef0995cf8",
+    ("circle", "svg"): "79a54780db7de21d85efa32c276abb760c220a8336593ceed6520846d6ec961f",
+    ("ellipse", "csv"): "3fffa0603738921232df76236f1a7953965c072d485d73b8f7ea86a630a1c339",
+    ("ellipse", "svg"): "62c373197ad7527bdc98c991420431664990a7fdd767f39477efb59616ad0ab4",
+    ("limacon", "csv"): "c12c6743c5edaf7c5600cf1c455e1aedab62fdff3b863e0fd421c11c5e88e06a",
+    ("limacon", "svg"): "e9df2fb20ab583fca88a4618ba4a6fe250c1529c22d91f49000d0473510c7f67",
+    ("line", "csv"): "3f13e083da6eb38ed74aeef611f89c3748059aced5d596b86dd2b574b42a51fd",
+    ("line", "svg"): "dc8398c623fb0ce808ae82ddf719a0160851c85fdc917e9799195ba49412fd4b",
+    }
 
     @pytest.mark.parametrize("base", sorted(BASES))
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
@@ -654,6 +765,7 @@ class TestRouletteBytes:
         runs = [("3000", name, self.DIGESTS[base, fmt, name]) for name in self.VARIANTS]
         runs += [("40000", name, digest) for (b, f, name), digest in self.MULTI_BLOCK_DIGESTS.items()
                  if (b, f) == (base, fmt)]
+        runs.append(("100000", "plain", self.LARGE_DIGESTS[base, fmt]))
         for samples, name, want in runs:
             argv = ["roulette", "--base", base, *self.BASES[base], "--radius", "0.7",
                     "--samples", samples, "--format", fmt, *self.VARIANTS[name]]
@@ -672,6 +784,10 @@ FLAG_CASES = [(_ROULETTE, flag, "{}") for flag in
 FLAG_CASES += [(_SYMMETRY, "--rotation", "{}"), (_SYMMETRY, "--reflection", "{}"),
                (["area"], "--limacon-lambda", "{}"), (_DECOMPOSE, "--param", "lambda={}"),
                (_DECOMPOSE, "--domain", "0:{}")]
+# (a valid command, a count flag, its least value)
+COUNT_CASES = [(_ROULETTE, "--samples", 2), (["area"], "--rose-N", 1),
+               (["period", "--c1", "cos(theta)"], "--max-multiple", 1)]
+FLAG_CASES += [(argv, flag, "{}") for argv, flag, _ in COUNT_CASES]
 
 
 class TestFlags:
@@ -689,6 +805,28 @@ class TestFlags:
         last = err.getvalue().splitlines()[-1]
         assert last == f"error: argument {flag}: invalid value {value!r}: {reason}"
         assert "Traceback" not in err.getvalue() and "_number" not in err.getvalue()
+
+    @pytest.mark.parametrize("argv, flag, least", COUNT_CASES,
+                             ids=[flag for _, flag, _ in COUNT_CASES])
+    def test_count_flags_refuse_a_fraction_and_a_count_below_their_least(self, argv, flag, least):
+        for value, message in (("2.5", f"argument {flag}: invalid value '2.5': not an integer"),
+                               (str(least - 1), f"{flag} must be at least {least}, got {least - 1}")):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, out = run_inprocess([*argv, flag, value])
+            assert (code, out) == (1, "")
+            assert err.getvalue().splitlines()[-1] == f"error: {message}"
+
+    @pytest.mark.parametrize("argv", [
+        ["roulette", "--base", "circle", "--radius", "0.5", "--samples", "{}"],
+        ["area", "--rose-N", "{}"],
+        ["period", "--c1", "theta/10", "--max-multiple", "{}"],
+    ], ids=["--samples", "--rose-N", "--max-multiple"])
+    def test_count_flags_take_constant_expressions(self, argv):
+        # 1e1, 2*5 and 10 are one count
+        outputs = [run_inprocess([arg.format(value) for arg in argv]) for value in ("1e1", "2*5", "10")]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("argv, flag", [
         (["roulette", "--base", "line", "--radius", "1", "--from", "-pi"], "--from"),
