@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvekit import cli
+from curvekit import _rows, cli
 from curvekit.cli import SCHEMA, _csv_trace, _fmt, _fmt_rows, build_parser, main
 from curvekit.polar import positive_pieces
 from curvekit.roulette import RollConfig, ellipse, trace
@@ -134,6 +134,19 @@ class TestIntersectCommand:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
                               cwd=ROOT, text=True, timeout=60)
         assert proc.stdout == "0 False\n", proc.stderr
+
+    def test_only_documents_load_the_row_kernel(self):
+        code = ("import sys, io, contextlib\n"
+                "from curvekit import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    cli.main(['period', '--c1', 'sin(3*theta)'])\n"
+                "    print('curvekit._rows' in sys.modules, file=sys.stderr)\n"
+                "    cli.main(['roulette', '--base', 'circle', '--radius', '1', '--samples', '5'])\n"
+                "print('curvekit._rows' in sys.modules, file=sys.stderr)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                              cwd=ROOT, text=True, timeout=60)
+        assert proc.stderr == "False\nTrue\n"
 
     def test_identical_curves_exit_two(self):
         result = run_subprocess(["intersect", "--c1", "cos(theta)", "--c2", "cos(theta)"])
@@ -651,13 +664,17 @@ class TestBulkFormatting:
     def test_separators_stay_aligned_across_blocks(self, sep, end):
         # three columns do not divide the block, and the document spans more
         # than two blocks; every kind of value sits next to a block edge
-        columns = np.random.default_rng(27).uniform(-5.0, 5.0, (3, cli._FORMAT_BLOCK + 11))
+        columns = np.random.default_rng(27).uniform(-5.0, 5.0, (3, _rows.BLOCK + 11))
         special = np.array(SPECIAL_VALUES)
-        for edge in range(cli._FORMAT_BLOCK // 3, columns.shape[1], cli._FORMAT_BLOCK // 3):
+        for edge in range(_rows.BLOCK // 3, columns.shape[1], _rows.BLOCK // 3):
             for c in range(3):
                 columns[c, edge - 7:edge + 8] = np.roll(special, c)
         assert _first_difference(_fmt_rows(tuple(columns), sep, end),
                                  _per_value(columns, sep, end)) is None
+
+    def test_powers_of_ten_are_exact(self):
+        # the exactness argument needs each scale to be 10**k exactly
+        assert [int(v) for v in _rows._POW10] == [10**k for k in range(16)]
 
     def test_rows_match_fmt_next_to_every_power_of_ten(self):
         # log10 misses the exponent of some of these values (238 with numpy

@@ -1,10 +1,10 @@
 """Run the benchmark on two checkouts of curvekit in alternating pairs.
 
     python tools/bench_pairs.py PARENT CHANGE --workload cli --seeds 2701 2702 ... \
-        --name cli_format [--claim latency_p90_ms] [--seconds 50]
+        --name cli_format [--claim latency_p90_ms]
 
-For each seed, `perfbench/run.py --workload W --seed S --seconds X --trace 0`
-runs once in each checkout (each tree's own `perfbench/`, read as it is),
+For each seed, `perfbench/run.py --workload W --seed S --seconds 50 --trace 0`
+(the end-to-end run length of perfbench/README.md) runs once in each checkout (each tree's own `perfbench/`, read as it is),
 one run at a time; the parent goes first on the 1st, 3rd, ... seed and the
 change on the others.  The runs and a summary go to `BENCH_<name>.json` in
 the current directory, rewritten after every pair, so that a cut sitting
@@ -33,14 +33,16 @@ from pathlib import Path
 
 METRICS = {"ops_per_s": "higher", "latency_p50_ms": "lower", "latency_p90_ms": "lower",
            "setup_s": "lower", "peak_rss_mb": "lower"}
+# The run length of an end-to-end run, as perfbench/README.md gives it
+SECONDS = 50
 # A run that prints no result within this long counts as failed to run
 RUN_TIMEOUT_S = 600
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run in tree: its result line, flattened."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = done.stdout.strip().splitlines()
     if done.returncode not in (0, 1) or not lines:
@@ -105,14 +107,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--name", required=True, help="writes BENCH_<name>.json")
-    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--claim", choices=tuple(METRICS), help="the metric a gain is claimed on")
     args = parser.parse_args(argv)
 
     out = Path(f"BENCH_{args.name}.json")
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("command", "python3 perfbench/run.py --workload WORKLOAD --seed SEED "
-                              f"--seconds {args.seconds:g} --trace 0")
+                              f"--seconds {SECONDS} --trace 0")
     doc.setdefault("machine", f"{platform.machine()}, Python {platform.python_version()}, "
                               f"numpy {importlib.metadata.version('numpy')}")
     doc.setdefault("method", "each seed runs once in each checkout, one run at a time; "
@@ -125,7 +126,7 @@ def main(argv=None) -> int:
     for i, seed in enumerate(args.seeds):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             record = {"seed": seed, "side": side}
-            record.update(run_once(trees[side], args.workload, seed, args.seconds))
+            record.update(run_once(trees[side], args.workload, seed))
             runs.append(record)
             print(json.dumps(record), flush=True)
         doc["summary"][args.workload] = summarize(runs, args.claim)
