@@ -272,8 +272,15 @@ def _svg_document(polylines) -> str:
     return "".join(parts)
 
 
+# The most --samples a roulette takes: 10^7 rows are about 0.45 GB of CSV, and
+# a larger count would first fail in numpy's allocation with no flag named
+MAX_SAMPLES = 10**7
+
+
 def cmd_roulette(args) -> str:
     _at_least("--samples", args.samples, 2)
+    if args.samples > MAX_SAMPLES:
+        raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     base = _BASES[args.base](args)
     t_from = args.t_from if args.t_from is not None else 0.0
     if args.t_to is not None:

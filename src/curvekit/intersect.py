@@ -12,7 +12,8 @@ f(theta) = (-1)^k g(theta + k*pi), and k reduces mod n2 because
 (-1)^n2 g(theta + n2*pi) = g(theta).  Each point is reported with its
 smallest witnesses theta1 and theta2 = theta1 + m*pi.  The origin carries no
 angle and is tested separately: it is common exactly when each radius
-function vanishes somewhere, and the search for each stops at its first zero.
+function vanishes somewhere, which one find_roots over the curve's period
+window decides.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DEDUPE_FACTOR, DEFAULT_TOL, POLE_MAGNITUDE, dedupe_roots, find_roots,
-                       linspace, refine_brackets, root_brackets, symmetric_hausdorff)
+from .numerics import POLE_MAGNITUDE, find_roots, linspace, symmetric_hausdorff
 from .polar import PolarCurve
 
 ZERO_RADIUS_TOL = 1e-9
@@ -68,35 +68,10 @@ def origin_on_curve(curve: PolarCurve) -> float | None:
     once."""
     record = curve._record
     if record.origin is None:
-        record.origin = (_first_zero(curve),)
+        roots = find_roots(curve.eval_many, *curve.period_window())
+        record.origin = (next((theta for theta, residual in zip(roots.roots, roots.residuals)
+                               if residual < ZERO_RADIUS_TOL), None),)
     return record.origin[0]
-
-
-def _first_zero(curve: PolarCurve) -> float | None:
-    """The search of `origin_on_curve`.  It stops at the first zero once no
-    root left unrefined can join it in the dedupe.  The brackets of the first
-    start cell are refined first, then the rest."""
-    xs, ys, idx, touch, exact = root_brackets(curve.eval_many, *curve.period_window(), None)
-    touch_start = np.maximum(touch - 1, 0)
-    # the distinct start cells, sorted (all >= 0): np.union1d gives the same,
-    # but its np.unique imports numpy.ma into every process that gets here
-    starts = np.sort(np.concatenate((idx, touch_start)))
-    starts = starts[np.diff(starts, prepend=-1) != 0]
-    parts, done = [(exact, np.zeros(exact.size))], 0  # brackets at starts[:done] refined
-    while True:
-        bound = float(xs[starts[done]]) if done < starts.size else math.inf
-        candidates, residuals = map(np.concatenate, zip(*parts))
-        roots = dedupe_roots(candidates[candidates < bound], residuals[candidates < bound])
-        first = next((j for j, r in enumerate(roots.residuals) if r < ZERO_RADIUS_TOL), None)
-        if first is not None and (first + 1 < len(roots)  # no root beyond bound can join it
-                                  or bound - roots.roots[first] >= DEDUPE_FACTOR * DEFAULT_TOL):
-            return roots.roots[first]
-        if done == starts.size:
-            return None
-        in_batch = (lambda s: s == starts[0]) if done == 0 else (lambda s: s > starts[0])
-        done = 1 if done == 0 else starts.size
-        parts.append(refine_brackets(curve.eval_many, xs, ys, idx[in_batch(idx)],
-                                     touch[in_batch(touch_start)]))
 
 
 def intersections(c1: PolarCurve, c2: PolarCurve) -> IntersectionResult:

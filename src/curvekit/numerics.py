@@ -6,7 +6,8 @@ intersection, area and roulette computations.  Both take functions that map
 numpy arrays to arrays (every curve evaluator in this package does) and call
 them once per refinement round with every open bracket's or panel's points,
 except that a call with only a few brackets refines each alone on Python
-floats, with the same rounds and bits as inside a stack.
+floats, with the same rounds and bits as inside a stack.  `find_roots` is
+the package's only root search; the intersection origin test uses it too.
 """
 
 from __future__ import annotations
@@ -217,16 +218,12 @@ def _golden_abs_min_one(f, a, b):
     return 0.5 * (a + b)
 
 
-def find_roots(
-    f,
-    a: float,
-    b: float,
-    grid_n: int | None = None,
-    right_open: bool = False,
-) -> RootList:
-    """All roots of f on [a, b] (or [a, b) when right_open).
+def find_roots(f, a: float, b: float, right_open: bool = False) -> RootList:
+    """All roots of f on [a, b] (or [a, b) when right_open): the one root
+    search of the package.
 
-    Sign changes on the sampling grid are refined by Chandrupatla's method;
+    f is sampled on a grid of DEFAULT_GRID_PER_TWO_PI cells per 2*pi (at
+    least 32).  Sign changes on it are refined by Chandrupatla's method;
     zeros the function only touches (no sign change) are recovered from
     local minima of |f| and kept when the refined |f| drops below the
     tangential gate.  Grid nodes where |f| explodes or is non-finite,
@@ -234,28 +231,24 @@ def find_roots(
     (poles), never as crossings, and pole-side "roots" are rejected by the
     residual gate.
     """
-    xs, ys, idx, touch, exact = root_brackets(f, a, b, grid_n)
+    xs, ys, idx, touch, exact = _root_brackets(f, a, b)
     if not (idx.size or touch.size or exact.size):
         return RootList((), ())
-    refined, residual = refine_brackets(f, xs, ys, idx, touch)
+    refined, residual = _refine_brackets(f, xs, ys, idx, touch)
     candidates = np.concatenate([exact, refined])
     values = np.concatenate([np.zeros(exact.size), residual])
     keep = (np.abs(candidates - float(b)) > DEDUPE_FACTOR * DEFAULT_TOL) | (not right_open)
-    return dedupe_roots(candidates[keep], values[keep])
+    return _dedupe_roots(candidates[keep], values[keep])
 
 
-def root_brackets(f, a: float, b: float, grid_n: int | None):
+def _root_brackets(f, a: float, b: float):
     """find_roots' grid xs on [a, b], f's values ys there, the cells idx where f
     changes sign, the nodes touch at small local minima of |f|, the exact zeros."""
     a = float(a)
     b = float(b)
     if not a < b:
         raise ValueError("need a < b")
-    if grid_n is None:
-        grid_n = max(32, int(math.ceil(DEFAULT_GRID_PER_TWO_PI * (b - a) / TWO_PI)))
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
-
+    grid_n = max(32, int(math.ceil(DEFAULT_GRID_PER_TWO_PI * (b - a) / TWO_PI)))
     xs = linspace(a, b, grid_n + 1)
     ys = _eval_grid(f, xs)
     ay = np.abs(ys)
@@ -271,7 +264,7 @@ def root_brackets(f, a: float, b: float, grid_n: int | None):
     return xs, ys, crossing.nonzero()[0], touch.nonzero()[0], xs[ys == 0.0]
 
 
-def refine_brackets(f, xs, ys, idx, touch):
+def _refine_brackets(f, xs, ys, idx, touch):
     """The roots refined in the cells idx and around the nodes touch that pass, and |f| there."""
     refined = np.concatenate([
         _chandrupatla(f, xs[idx], xs[idx + 1], ys[idx], ys[idx + 1]),
@@ -283,7 +276,7 @@ def refine_brackets(f, xs, ys, idx, touch):
     return refined[passed], residual[passed]
 
 
-def dedupe_roots(candidates, values) -> RootList:
+def _dedupe_roots(candidates, values) -> RootList:
     """The candidates sorted, one closer than DEDUPE_FACTOR*DEFAULT_TOL to the
     root kept before it merged into that root, replacing it if its value is less."""
     order = np.argsort(candidates, kind="stable")

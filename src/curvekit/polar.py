@@ -50,13 +50,14 @@ HALF_TURN_SLACK = 1e-9
 class _Record:
     """What the answers about one curve share that depends only on its AST
     and bound parameters: the compiled program, how far the period scan has
-    gone, the first zero in the period window (a one-tuple once known, set
-    by `intersect.origin_on_curve`) and the intervals `sign_change_sample`
-    passed, at most `expr.CURVE_RECORDS` of them.  Each is stored only once
-    computed without an error.  Threads racing on one curve may each compute
-    a fact, but they store the same value, so no answer depends on which
-    wins and the record needs no lock; a race can only cost time, by storing
-    an earlier stage of the period scan or a pass past the bound."""
+    gone, the first zero in the period window (a one-tuple once known, from
+    the one `find_roots` call of `intersect.origin_on_curve`) and the
+    intervals `sign_change_sample` passed, at most `expr.CURVE_RECORDS` of
+    them.  Each is stored only once computed without an error.  Threads
+    racing on one curve may each compute a fact, but they store the same
+    value, so no answer depends on which wins and the record needs no lock;
+    a race can only cost time, by storing an earlier stage of the period
+    scan or a pass past the bound."""
 
     __slots__ = ("program", "period", "origin", "nonnegative_on")
 

@@ -107,16 +107,26 @@ def line() -> ParamCurve:
     return ParamCurve("t", "0", domain=(0.0, 16.0 * math.pi))
 
 
+# The closed bases below check their minimum speed in closed form first:
+# the sampled check of ParamCurve misses a tangent that vanishes only
+# between samples, as ellipse(0, 1)'s does at t = pi/2.
+
 def circle(radius: float) -> ParamCurve:
+    """Speed |R|."""
+    _check_regular([abs(radius)], "on the domain")
     return ParamCurve("R*cos(t)", "R*sin(t)", {"R": float(radius)})
 
 
 def ellipse(a: float, b: float) -> ParamCurve:
+    """Speed sqrt(a^2 sin^2 t + b^2 cos^2 t), at least min(|a|, |b|)."""
+    _check_regular([min(abs(a), abs(b))], "on the domain")
     return ParamCurve("a*cos(t)", "b*sin(t)", {"a": float(a), "b": float(b)})
 
 
 def limacon(lam: float) -> ParamCurve:
-    """Cartesian lift of r = 1 + lam*cos(theta)."""
+    """Cartesian lift of r = 1 + lam*cos(theta).  Speed
+    sqrt(1 + 2*lam*cos(t) + lam^2), at least |1 - |lam||."""
+    _check_regular([abs(1.0 - abs(lam))], "on the domain")
     return ParamCurve(
         "(1 + lambda*cos(t))*cos(t)",
         "(1 + lambda*cos(t))*sin(t)",

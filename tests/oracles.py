@@ -18,10 +18,10 @@
   costs were cut, kept verbatim (np.linspace grid, np.r_ masks, np.clip,
   compaction every round); the lean version must return the same roots and
   residuals bit for bit.
-- full_scan_origin is intersect.origin_on_curve as it was before it stopped
-  at the first zero: one full find_roots over the period window, of which it
-  keeps the first root with a residual below ZERO_RADIUS_TOL.  The early
-  stop must return the same witness.
+- bisection_origin is the plain reference for intersect.origin_on_curve:
+  the first root of bisection_roots over the period window with |f| below
+  ZERO_RADIUS_TOL.  No Chandrupatla step is shared, so the witnesses must
+  agree to 1e-9 and both or neither must be None.
 - brute_hausdorff is the plain reference for numerics.symmetric_hausdorff:
   every point pair in chunks of 1,024 rows, each distance np.abs of a complex
   difference, so the bounded sweep must match it bit for bit below its bound.
@@ -58,7 +58,6 @@ from curvekit.numerics import (
     RESIDUAL_GATE,
     TANGENTIAL_GATE,
     TANGENTIAL_PREFILTER,
-    find_roots,
 )
 from curvekit.roulette import REGULARITY_TOL, RegularityError, arc_length
 
@@ -386,12 +385,13 @@ def frozen_find_roots(
     return tuple(roots), tuple(residuals)
 
 
-def full_scan_origin(curve):
-    """Smallest angle in the period window where the radius vanishes, if any."""
-    roots = find_roots(curve.eval_many, *curve.period_window())
-    for theta, residual in zip(roots.roots, roots.residuals):
-        if residual < ZERO_RADIUS_TOL:
-            return float(theta)
+def bisection_origin(curve):
+    """The first root of bisection_roots over the curve's period window where
+    |f| is below ZERO_RADIUS_TOL, or None."""
+    f = curve.eval_many
+    for theta in bisection_roots(f, *curve.period_window()):
+        if abs(f(np.array([theta]))[0]) < ZERO_RADIUS_TOL:
+            return theta
     return None
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvekit import _rows, cli
-from curvekit.cli import SCHEMA, _csv_trace, _fmt, _fmt_rows, build_parser, main
+from curvekit.cli import MAX_SAMPLES, SCHEMA, _csv_trace, _fmt, _fmt_rows, build_parser, main
 from curvekit.polar import positive_pieces
 from curvekit.roulette import RollConfig, ellipse, trace
 from oracles import cycloid_point
@@ -513,14 +513,25 @@ class TestRouletteCommand:
         code, _ = run_inprocess(["roulette", "--base", "line", "--radius", "0"])
         assert code == 1
 
+    @pytest.mark.parametrize("samples", ["10", "11"])
+    def test_degenerate_ellipse_exits_two(self, samples):
+        # the tangent vanishes at t = pi/2: a Gauss node of the 11-sample
+        # trace lands on it, none of the 10-sample trace does
+        code, _ = run_inprocess(["roulette", "--base", "ellipse", "--a", "0", "--b", "1",
+                                 "--radius", "1", "--samples", samples])
+        assert code == 2
+
     def test_oversized_sample_count_exits_one_without_traceback(self):
-        # numpy refuses the 728 TiB array before it allocates anything
-        result = run_subprocess(["roulette", "--base", "line", "--radius", "1",
-                                 "--samples", "100000000000000"])
-        assert result.returncode == 1
-        assert result.stderr.startswith(b"error:")
-        assert b"Traceback" not in result.stderr
-        assert result.stdout == b""
+        # refused by MAX_SAMPLES before anything is allocated
+        for samples in ("1e14", "1e20"):
+            result = run_subprocess(["roulette", "--base", "line", "--radius", "1",
+                                     "--samples", samples])
+            assert result.returncode == 1
+            assert result.stderr.startswith(b"error:")
+            assert b"Traceback" not in result.stderr
+            assert result.stderr == (f"error: --samples must be at most {MAX_SAMPLES}, "
+                                     f"got {int(float(samples))}\n").encode()
+            assert result.stdout == b""
 
 
 class TestUnwritableOutput:

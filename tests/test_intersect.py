@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvekit import intersect, numerics
+from curvekit import intersect, numerics, polar
 from curvekit.intersect import (
     IDENTICAL_GRAPH_TOL,
     IdenticalCurvesError,
@@ -15,7 +15,7 @@ from curvekit.intersect import (
 )
 from curvekit.polar import PolarCurve
 from helpers import radius_at, record_hausdorff_bounds
-from oracles import full_scan_origin, rasterized_intersections
+from oracles import bisection_origin, rasterized_intersections
 
 SQ3_4 = math.sqrt(3.0) / 4.0
 
@@ -75,6 +75,21 @@ class TestOriginOnCurve:
         theta = origin_on_curve(curve("1 - lambda*sin(theta)", {"lambda": lam}))
         assert theta == pytest.approx(math.asin(1.0 / lam), abs=1e-9)
 
+    def test_one_root_search_per_distinct_curve(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return numerics.find_roots(*args, **kwargs)
+
+        monkeypatch.setattr(intersect, "find_roots", counting)
+        polar._records.clear()
+        c = curve("1 - lambda*sin(theta)", {"lambda": 2.0})
+        first = origin_on_curve(c)
+        assert len(calls) == 1
+        assert origin_on_curve(curve("1 - lambda*sin(theta)", {"lambda": 2.0})) == first
+        assert len(calls) == 1
+
 
 def library_intersect_curves(seeds, count):
     """Every distinct curve of the intersect ops among the first count ops of
@@ -92,20 +107,22 @@ def library_intersect_curves(seeds, count):
     return [curve(text, dict(params)) for text, params in texts]
 
 
-def assert_origin_matches_full_scan(c):
-    expected = full_scan_origin(c)
+def assert_origin_matches_bisection(c):
+    expected = bisection_origin(c)
     got = origin_on_curve(c)
-    assert got == expected and type(got) is type(expected), c
+    assert (got is None) == (expected is None), c
+    if got is not None:
+        assert abs(got - expected) < 1e-9, c
 
 
 class TestOriginFirstZero:
-    """origin_on_curve stops at the first zero with the full scan's witness."""
+    """origin_on_curve finds the first zero that bisection finds."""
 
     def test_library_curves(self):
         curves = library_intersect_curves((1, 7), 5400)
         assert len(curves) > 3000
         for c in curves:
-            assert_origin_matches_full_scan(c)
+            assert_origin_matches_bisection(c)
 
     def test_roses_limacons_and_poles(self):
         texts = [f"{trig}({n}*theta)" for n in range(1, 25) for trig in ("sin", "cos")]
@@ -119,7 +136,7 @@ class TestOriginFirstZero:
                                 "lambda*cos(theta) - 1")]
         found = 0
         for c in curves:
-            assert_origin_matches_full_scan(c)
+            assert_origin_matches_bisection(c)
             found += origin_on_curve(c) is not None
         assert found > 90
 
@@ -130,19 +147,15 @@ class TestOriginFirstZero:
         c = curve("sin(theta - p)*sin(q - theta)", {"p": node - 3e-10, "q": node + 5e-10})
         roots = numerics.find_roots(c.eval_many, *c.period_window())
         assert roots.roots[0] > node and roots.residuals[0] < intersect.ZERO_RADIUS_TOL
-        assert_origin_matches_full_scan(c)
+        assert origin_on_curve(c) == roots.roots[0]
+        assert_origin_matches_bisection(c)
 
-    def test_exact_zero_at_the_window_start_refines_no_bracket(self, monkeypatch):
+    def test_exact_zero_at_the_window_start_is_the_witness(self):
         # sin(5*theta) is 0 at theta = 0 and rounds to 6e-16 at the window
-        # end pi, a touching-zero bracket the full scan refines
-        calls = []
-        for name in ("_chandrupatla", "_golden_abs_min"):
-            def counting(f, *args, _kernel=getattr(numerics, name), _name=name):
-                calls.append(_name)
-                return _kernel(f, *args)
-            monkeypatch.setattr(numerics, name, counting)
-        assert origin_on_curve(curve("sin(5*theta)")) == 0.0
-        assert calls == []
+        # end pi, a touching zero that is refined but comes later
+        c = curve("sin(5*theta)")
+        assert origin_on_curve(c) == 0.0
+        assert_origin_matches_bisection(c)
 
 
 class TestLayerCalls:

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import directed_hausdorff
 
+from curvekit import numerics
 from curvekit.area import SectorRegion, loop_area
 from curvekit.intersect import graph_points
 from curvekit.numerics import (
+    DEFAULT_GRID_PER_TWO_PI,
     DEFAULT_TOL,
     RESIDUAL_GATE,
     RootList,
@@ -56,10 +58,11 @@ class TestFindRoots:
         assert all(res < 1e-6 for res in roots.residuals)
         assert list(roots) == sorted(roots)
 
-    def test_grid_doubling_is_stable(self):
+    def test_grid_doubling_is_stable(self, monkeypatch):
         f = lambda th: np.tan(5.0 * th) - 1.0
-        first = find_roots(f, 0.0, math.pi, grid_n=2048)
-        second = find_roots(f, 0.0, math.pi, grid_n=4096)
+        first = find_roots(f, 0.0, math.pi)
+        monkeypatch.setattr(numerics, "DEFAULT_GRID_PER_TWO_PI", 2 * DEFAULT_GRID_PER_TWO_PI)
+        second = find_roots(f, 0.0, math.pi)
         assert len(first) == len(second)
         assert np.allclose(list(first), list(second), atol=1e-9)
 
@@ -72,10 +75,6 @@ class TestFindRoots:
         closed = find_roots(lambda th: np.sin(th), 0.0, TWO_PI)
         half = find_roots(lambda th: np.sin(th), 0.0, TWO_PI, right_open=True)
         assert len(closed) == len(half) + 1
-
-    def test_bad_grid(self):
-        with pytest.raises(ValueError):
-            find_roots(lambda th: th, 0.0, 1.0, grid_n=1)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
@@ -225,8 +224,12 @@ class TestFrozenReference:
             roots += len(got)
         assert count == 324 and roots > 2500
 
-    @pytest.mark.parametrize("grid_n", [2, 7, 64, None])
-    def test_random_trigonometric_polynomials_and_their_squares(self, grid_n):
+    @pytest.mark.parametrize("grid_per_two_pi", [2, 7, 64, None])
+    def test_random_trigonometric_polynomials_and_their_squares(self, monkeypatch,
+                                                                grid_per_two_pi):
+        # a coarse density gives find_roots' floor of 32 cells on these intervals
+        if grid_per_two_pi is not None:
+            monkeypatch.setattr(numerics, "DEFAULT_GRID_PER_TWO_PI", grid_per_two_pi)
         rng = np.random.default_rng(20261019)
         for _ in range(40):
             k = int(rng.integers(1, 7))
@@ -236,7 +239,9 @@ class TestFrozenReference:
             a = float(rng.uniform(-3.0, 3.0))
             b = a + float(rng.uniform(0.1, 13.0))
             for g in (f, lambda t, f=f: f(t) ** 2):  # squares only touch zero
-                got = find_roots(g, a, b, grid_n=grid_n)
+                got = find_roots(g, a, b)
+                grid_n = (None if grid_per_two_pi is None else
+                          max(32, math.ceil(grid_per_two_pi * (b - a) / TWO_PI)))
                 expected_roots, expected_residuals = frozen_find_roots(g, a, b, grid_n=grid_n)
                 assert bits(got.roots) == bits(expected_roots)
                 assert bits(got.residuals) == bits(expected_residuals)

@@ -40,6 +40,15 @@ class TestParamCurve:
         with pytest.raises(RegularityError):
             ParamCurve("1", "2")
 
+    @pytest.mark.parametrize("make, args", [(ellipse, (0.0, 1.0)), (ellipse, (1e-12, 1.0)),
+                                            (limacon, (1.0,)), (limacon, (-1.0,))],
+                             ids=["ellipse(0, 1)", "ellipse(1e-12, 1)", "limacon(1)", "limacon(-1)"])
+    def test_closed_bases_with_a_vanishing_tangent_rejected(self, make, args):
+        # ellipse(0, 1)'s tangent vanishes at t = pi/2 and the limacons' at
+        # t = pi or 0, between the samples of ParamCurve's own check
+        with pytest.raises(RegularityError, match="tangent vector vanishes on the domain"):
+            make(*args)
+
     def test_unbound_parameter(self):
         from curvekit.expr import EvalError
 
