@@ -165,15 +165,13 @@ def cmd_area(args) -> dict:
 
 
 def _domain_curve(text: str, params, domain: tuple[float, float] | None) -> PolarCurve:
-    """The curve over --domain, or else over one period, parsed once."""
+    """The curve over --domain, or else over one period (one parse, one record)."""
     if domain is not None:
         return PolarCurve(text, params, domain)
-    curve = PolarCurve(text, params)
-    n = curve.period_multiple_of_pi()
+    n = PolarCurve(text, params).period_multiple_of_pi()
     if n is None:
         raise UsageError(f"curve {text!r} has no polar period; pass --domain")
-    curve.domain = (0.0, n * math.pi)
-    return curve
+    return PolarCurve(text, params, (0.0, n * math.pi))
 
 
 def cmd_period(args) -> dict:

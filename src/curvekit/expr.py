@@ -99,8 +99,8 @@ MAX_DEPTH = 100
 # curves polar keeps a record of, dropping the least recently used.  A
 # process that builds curves with ever new parameters then holds a bounded
 # amount: 256 records of the benchmark's curves take about 0.8 MiB.  They
-# serve 62.0 % of the curves its `library` ops build, and an unbounded store
-# 62.7 %, since the curves that repeat are few.
+# serve 61.5 % of the curves its `library` ops build, and an unbounded store
+# 62.1 %, since the curves that repeat are few.
 CURVE_RECORDS = 256
 
 

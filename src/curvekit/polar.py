@@ -7,9 +7,8 @@ f(theta) * e^(i*theta).
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,10 @@ MAX_PERIOD_MULTIPLE = 64  # the largest polar period searched by default, over p
 # Equality-rule sweeps: samples, and agreement relative to max(1, |f|).
 RULE_SAMPLES = 512
 RULE_TOL = 1e-9
+# Rule samples sit this irrational fraction of a step (1/golden ratio) past
+# k*pi/512, the zeros of sin(512*theta), which would hide such a term, and of
+# sin, where sqrt(abs(sin(theta))) lifts the rounding of theta + 2*pi past RULE_TOL.
+RULE_OFFSET = (math.sqrt(5.0) - 1.0) / 2.0
 PIECE_SAMPLES = 256
 PIECE_MATCH_TOL = 1e-6
 # find_roots never reports two roots closer than this, so a zero within it
@@ -55,9 +58,10 @@ class _Record:
     intervals `sign_change_sample` passed, at most `expr.CURVE_RECORDS` of
     them.  Each is stored only once computed without an error.  Threads
     racing on one curve may each compute a fact, but they store the same
-    value, so no answer depends on which wins and the record needs no lock;
-    a race can only cost time, by storing an earlier stage of the period
-    scan or a pass past the bound."""
+    value, so no answer depends on which wins and the record needs no lock.
+    A race costs only time: it may store an earlier stage of the period scan
+    or a pass past the bound, and two threads that miss on one key at once
+    may each build a record, of which `_record_for` keeps one."""
 
     __slots__ = ("program", "period", "origin", "nonnegative_on")
 
@@ -66,10 +70,6 @@ class _Record:
         self.period = (None, 0)  # (the smallest multiple, or else the largest scanned)
         self.origin = None
         self.nonnegative_on = set()
-
-
-_records: OrderedDict = OrderedDict()  # key -> _Record, least recently used first
-_records_lock = threading.Lock()
 
 
 def _bits(x) -> bytes:
@@ -94,20 +94,16 @@ def _ast_key(node) -> tuple:
     return (node.op, _ast_key(node.left), _ast_key(node.right))
 
 
+@functools.lru_cache(maxsize=_expr.CURVE_RECORDS)  # drops the least recently used
+def _record_for(key: tuple) -> _Record:
+    """One record per key, as `expr.parse` keeps one AST per text."""
+    return _Record()
+
+
 def _record_of(node, params: dict, names) -> _Record:
     """The shared record of the curve, keyed by its AST and the bits of the
-    parameters it names, as `compile_program` binds them; the least recently
-    used record past `expr.CURVE_RECORDS` is dropped."""
-    key = (_ast_key(node), tuple((n, _bits(params[n])) for n in sorted(names)))
-    with _records_lock:
-        record = _records.get(key)
-        if record is None:
-            record = _records[key] = _Record()
-            if len(_records) > _expr.CURVE_RECORDS:
-                _records.popitem(last=False)
-        else:
-            _records.move_to_end(key)
-    return record
+    parameters it names, as `compile_program` binds them."""
+    return _record_for((_ast_key(node), tuple((n, _bits(params[n])) for n in sorted(names))))
 
 
 class PolarCurve:
@@ -165,7 +161,7 @@ class PolarCurve:
         if found is not None:
             return found if found <= max_multiple else None
         for n in range(scanned + 1, max_multiple + 1):
-            thetas = linspace(0.0, n * math.pi, RULE_SAMPLES, endpoint=False)
+            thetas = _rule_grid(0.0, n * math.pi)
             missed = _rule_misses(self, thetas, thetas, (n,))
             if not missed.any():
                 self._record.period = (n, n - 1)
@@ -178,6 +174,11 @@ class PolarCurve:
         if n is None:
             raise ValueError(f"curve {self.text!r} has no period <= {MAX_PERIOD_MULTIPLE}*pi")
         return (0.0, n * math.pi)
+
+
+def _rule_grid(lo: float, hi: float) -> np.ndarray:
+    """RULE_SAMPLES angles on [lo, hi), each RULE_OFFSET of a step past a grid point."""
+    return linspace(lo, hi, RULE_SAMPLES, endpoint=False) + RULE_OFFSET * (hi - lo) / RULE_SAMPLES
 
 
 def _rule_misses(curve: PolarCurve, thetas, base, ns) -> np.ndarray:
@@ -211,7 +212,7 @@ def _rule_misses(curve: PolarCurve, thetas, base, ns) -> np.ndarray:
 
 def _holds_for_some_n(curve: PolarCurve, reflect: bool, theta0: float) -> bool:
     lo, hi = curve.period_window()  # hi = n_period * pi; n runs to 2 * n_period
-    thetas = linspace(lo, hi, RULE_SAMPLES, endpoint=False)
+    thetas = _rule_grid(lo, hi)
     base = (2.0 * theta0 - thetas) if reflect else (thetas + theta0)
     return not _rule_misses(curve, thetas, base, range(2 * round(hi / math.pi) + 1)).any()
 

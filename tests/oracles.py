@@ -11,6 +11,13 @@
   origin at angle 0) and its complex value r*e^(i*theta).
 - cycloid_point, epicycloid_point and hypocycloid_point are the closed forms
   of a circle rolling on the x-axis, on a circle and inside a circle.
+- TrigPolynomial and spectral_intersections model r = a0 + sum of
+  a_k cos(k theta) + b_k sin(k theta) over integer k by its coefficients.
+  Each equality-rule family f(theta) - (-1)^m g(theta + m*pi) is a Laurent
+  polynomial in z = e^(i*theta), whose roots on |z| = 1 are the eigenvalues
+  of a companion matrix (np.roots): Boyd's spectral root finder for Fourier
+  series (SIAM J. Numer. Anal. 40, 2002).  No grid, bracket or curvekit
+  evaluator is involved.
 - bisection_roots is the plain reference for numerics.find_roots: the same
   grid, gates and dedupe rule, with vectorized bisection for sign changes
   and a scalar golden-section search per touching zero.
@@ -553,3 +560,67 @@ def hypocycloid_point(big_r: float, r: float, t: float) -> complex:
     if not (big_r > r > 0):
         raise ValueError("need R > r > 0")
     return (big_r - r) * cmath.exp(1j * t) + r * cmath.exp(1j * t * (1.0 - big_r / r))
+
+
+@dataclass(frozen=True)
+class TrigPolynomial:
+    """r = a0 + sum over k = 1..len(a) of a[k-1] cos(k theta) + b[k-1] sin(k theta)."""
+
+    a0: float
+    a: tuple[float, ...]
+    b: tuple[float, ...]
+
+    @property
+    def text(self) -> str:
+        terms = [repr(self.a0)]
+        for k, (ak, bk) in enumerate(zip(self.a, self.b), start=1):
+            terms += [f"{c!r}*{trig}({k}*theta)" for c, trig in ((ak, "cos"), (bk, "sin")) if c]
+        return " + ".join(terms)
+
+    def __call__(self, thetas):
+        k = np.arange(1, len(self.a) + 1)
+        angles = np.multiply.outer(np.asarray(thetas, dtype=float), k)
+        return self.a0 + np.cos(angles) @ np.asarray(self.a) + np.sin(angles) @ np.asarray(self.b)
+
+    def half_turns(self, m: int) -> "TrigPolynomial":
+        """(-1)^m r(theta + m*pi): cos(k(theta + m*pi)) = (-1)^(k*m) cos(k theta), sin alike."""
+        signs = [(-1.0) ** (m * (k + 1)) for k in range(1, len(self.a) + 1)]
+        return TrigPolynomial((-1.0) ** m * self.a0, tuple(s * c for s, c in zip(signs, self.a)),
+                              tuple(s * c for s, c in zip(signs, self.b)))
+
+
+def _laurent_roots(f: TrigPolynomial, g: TrigPolynomial):
+    """Roots in z of z^K (f - g)(theta) with z = e^(i*theta), degree 2K."""
+    size = max(len(f.a), len(g.a))
+    c = np.zeros(size), np.zeros(size)
+    for poly, sign in ((f, 1.0), (g, -1.0)):
+        c[0][:len(poly.a)] += sign * np.asarray(poly.a)
+        c[1][:len(poly.b)] += sign * np.asarray(poly.b)
+    # cos = (z^k + z^-k)/2 and sin = (z^k - z^-k)/(2i); highest power first
+    coeffs = np.concatenate([((c[0] - 1j * c[1]) / 2)[::-1], [f.a0 - g.a0],
+                             (c[0] + 1j * c[1]) / 2])
+    return np.roots(coeffs)
+
+
+def spectral_intersections(f: TrigPolynomial, g: TrigPolynomial):
+    """The nonzero common points of the graphs of f and g, deduped in the
+    plane to 1e-7, or None when the families' roots are ill-conditioned: a
+    root within 1e-4 of the unit circle but not within 1e-9 of it (a
+    near-tangency), or two roots on it closer than 1e-4 (a near-double
+    root)."""
+    points = []
+    for m in (0, 1):  # (-1)^2 g(theta + 2*pi) = g(theta): two families cover every k
+        roots = _laurent_roots(f, g.half_turns(m))
+        gap = np.abs(np.abs(roots) - 1.0)
+        if np.any((gap >= 1e-9) & (gap < 1e-4)):
+            return None
+        thetas = np.sort(np.angle(roots[gap < 1e-9]) % TWO_PI)
+        if thetas.size > 1 and np.min(np.diff(np.r_[thetas, thetas[0] + TWO_PI])) < 1e-4:
+            return None
+        radii = f(thetas)
+        points.extend((radii * np.exp(1j * thetas))[np.abs(radii) >= ZERO_RADIUS_TOL])
+    unique = []
+    for point in points:
+        if all(abs(point - kept) >= 1e-7 for kept in unique):
+            unique.append(point)
+    return np.array(unique, dtype=complex)

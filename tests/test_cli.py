@@ -249,10 +249,18 @@ class TestPeriodAndSymmetry:
         _, out = run_inprocess(["symmetry", "--c1", "sin(2*theta)", "--rotation", "pi/2"])
         assert json.loads(out)["symmetric"] is True
 
+    @pytest.mark.parametrize("source", ["sin(theta) + 0.5*sin(512*theta)",
+                                        "sqrt(abs(sin(theta)))"])
+    def test_rule_samples_are_off_the_grid(self, source):
+        # samples at k*pi/512 are zeros of sin(512*theta), and at sin's zeros
+        # sqrt lifts the rounding of theta + 2*pi past RULE_TOL
+        out = f'{{\n  "schema": "{SCHEMA}",\n  "period_multiple_of_pi": 2\n}}\n'
+        assert run_inprocess(["period", "--c1", source]) == (0, out)
+
     def test_undefined_stretch_is_named(self):
         result = run_subprocess(["period", "--c1", "sqrt(cos(theta))"])
         assert result.returncode == 1
-        assert result.stderr == b"error: curve is undefined at theta = 1.57693224995\n"
+        assert result.stderr == b"error: curve is undefined at theta = 1.57458853585\n"
         assert result.stdout == b""
 
     @pytest.mark.parametrize(

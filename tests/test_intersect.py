@@ -83,7 +83,7 @@ class TestOriginOnCurve:
             return numerics.find_roots(*args, **kwargs)
 
         monkeypatch.setattr(intersect, "find_roots", counting)
-        polar._records.clear()
+        polar._record_for.cache_clear()
         c = curve("1 - lambda*sin(theta)", {"lambda": 2.0})
         first = origin_on_curve(c)
         assert len(calls) == 1

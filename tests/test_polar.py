@@ -94,8 +94,8 @@ class TestPeriod:
 
     def test_nan_sample_raises(self):
         # sqrt(cos) is undefined on (pi/2, 3pi/2): NaN is not a pole, and the
-        # error names the first sample of that stretch, 257*pi/512
-        with pytest.raises(EvalError, match=r"undefined at theta = 1\.5769"):
+        # error names the first sample of that stretch, (256 + RULE_OFFSET)*pi/512
+        with pytest.raises(EvalError, match=r"undefined at theta = 1\.57458853585$"):
             PolarCurve("sqrt(cos(theta))").period_multiple_of_pi()
 
     def test_degenerate_zero_curve(self):
@@ -163,7 +163,7 @@ class TestSymmetry:
         assert is_rotation_symmetric(PolarCurve("tan(theta)"), math.pi)
 
     def test_nan_sample_names_its_angle(self):
-        with pytest.raises(EvalError, match=r"undefined at theta = 1\.5769"):
+        with pytest.raises(EvalError, match=r"undefined at theta = 1\.57458853585$"):
             is_rotation_symmetric(PolarCurve("sqrt(cos(theta))"), math.pi)
 
 

@@ -19,7 +19,7 @@ from test_properties import CURVES
 
 @pytest.fixture
 def fresh_records():
-    polar._records.clear()
+    polar._record_for.cache_clear()
     expr._parse_text.cache_clear()
 
 
@@ -95,7 +95,7 @@ class TestWhatIsKept:
         for k in range(2, CURVE_RECORDS + 10):
             PolarCurve(f"a*theta + {k}", {"a": float(k)})
             PolarCurve("a*theta", {"a": 1.0})  # used again: the last to go
-        assert len(polar._records) == CURVE_RECORDS
+        assert polar._record_for.cache_info().currsize == CURVE_RECORDS
         assert expr._parse_text.cache_info().currsize == CURVE_RECORDS
         assert PolarCurve("a*theta", {"a": 1.0})._record is kept._record
         assert PolarCurve("a*theta", {"a": 0.0})._record is not oldest._record
@@ -110,11 +110,11 @@ class TestWhatIsKept:
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(CURVES, CURVES)
 def test_answers_are_the_same_from_fresh_and_reused_records(spec_f, spec_g):
-    polar._records.clear()
+    polar._record_for.cache_clear()
     fresh = answers(spec_f, spec_g)
     assert answers(spec_f, spec_g) == fresh
     # records filled by other questions: a short period scan, the swapped pair
-    polar._records.clear()
+    polar._record_for.cache_clear()
     PolarCurve(*spec_f).period_multiple_of_pi(1)
     try:
         intersections(PolarCurve(*spec_g), PolarCurve(*spec_f))
@@ -146,6 +146,6 @@ def test_threads_building_the_same_curves_agree(fresh_records):
         assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(interval)
-    polar._records.clear()
+    polar._record_for.cache_clear()
     reference = [answers(f, g) for f, g in pairs]
     assert results == [reference] * workers
